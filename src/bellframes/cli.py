@@ -82,17 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_sample(args) -> int:
-    config = ExperimentConfig(
-        n=args.n,
-        family=args.family,
-        candidates=args.candidates,
-        samples=args.samples,
-        seed=args.seed,
-        bin_width=args.bin_width,
-        sign_flips=args.sign_flips,
-        budget=args.budget,
-    )
     try:
+        config = ExperimentConfig(
+            n=args.n,
+            family=args.family,
+            candidates=args.candidates,
+            samples=args.samples,
+            seed=args.seed,
+            bin_width=args.bin_width,
+            sign_flips=args.sign_flips,
+            budget=args.budget,
+        )
         result = run_experiment(config, threads=max(1, args.threads))
     except (BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,6 +41,7 @@ import numpy as np
 from .optimizer import (
     _channel_tables,
     _party_options,
+    _random_kind_size,
     assignment_count,
     bell_values_over_assignments,
     make_candidate_set,
@@ -99,8 +100,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.bin_width <= 0:
-            raise ValueError("bin width must be positive")
+        if not (math.isfinite(self.bin_width) and self.bin_width > 0):
+            raise ValueError("bin width must be positive and finite")
         if self.frame_measure not in FRAME_MEASURES:
             raise ValueError(
                 f"unknown frame measure {self.frame_measure!r}; "
@@ -145,12 +146,8 @@ def _binomial_stderr(p: float, samples: int) -> float:
 
 
 def _candidate_size(kind: str) -> int:
-    if kind.startswith("random:"):
-        k = int(kind.split(":", 1)[1])
-        if k < 2:
-            raise ValueError("random candidate sets need at least 2 directions")
-        return k
-    return make_candidate_set(kind).size
+    k = _random_kind_size(kind)
+    return make_candidate_set(kind).size if k is None else k
 
 
 def _compute_batch(config, ctensor, fixed_set, options, indices, out):
@@ -301,8 +298,16 @@ def write_histogram_csv(result: ExperimentResult, path) -> None:
 
 
 def summary_json(result: ExperimentResult) -> str:
-    """The summary document as canonical JSON text (fixed key order)."""
+    """The summary document as canonical JSON text (fixed key order).
+
+    ``frame_measure`` follows ``sign_flips`` only for a non-default measure,
+    so Haar runs keep the document they have always had.
+    """
     cfg = result.config
+    measure = (
+        f'  "frame_measure": "{cfg.frame_measure}",\n'
+        if cfg.frame_measure != FRAME_HAAR else ""
+    )
     bound_rows = ",\n".join(
         "    {"
         + f'"label": "{c.label}", "value": {_fmt_float(c.value)}, '
@@ -318,6 +323,7 @@ def summary_json(result: ExperimentResult) -> str:
         f'  "samples": {cfg.samples},\n'
         f'  "seed": {cfg.seed},\n'
         f'  "sign_flips": {"true" if cfg.sign_flips else "false"},\n'
+        f"{measure}"
         f'  "lhv_violation_prob": {_fmt_float(result.lhv_violation_prob)},\n'
         f'  "bounds": [\n{bound_rows}\n  ],\n'
         f'  "mean": {_fmt_float(result.mean)},\n'

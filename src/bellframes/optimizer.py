@@ -130,12 +130,27 @@ def make_candidate_set(kind: str, rng: np.random.Generator | None = None) -> Can
         return tetrahedron_candidate_set()
     if kind == KIND_TETRAHEDRON_Z:
         return tetrahedron_z_candidate_set()
-    if kind.startswith("random:"):
-        k = int(kind.split(":", 1)[1])
+    k = _random_kind_size(kind)
+    if k is not None:
         if rng is None:
             raise ValueError("random candidate sets need an rng")
         return random_candidate_set(k, rng)
     raise ValueError(f"unknown candidate kind {kind!r}")
+
+
+def _random_kind_size(kind: str) -> int | None:
+    """``K`` of a ``random:K`` kind name; ``None`` for any other kind."""
+    if not kind.startswith("random:"):
+        return None
+    try:
+        k = int(kind.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(
+            f"candidate kind {kind!r}: the size after 'random:' must be an integer"
+        ) from None
+    if k < 2:
+        raise ValueError("random candidate sets need at least 2 directions")
+    return k
 
 
 def assignment_count(m: int, n: int, sign_flips: bool = True) -> int:
@@ -185,14 +200,9 @@ class OptimizationOutcome:
 
 def enumerate_assignments(candidates: CandidateSet, n: int, sign_flips: bool = True):
     """Yield every reduced assignment in the deterministic scan order."""
-    m = candidates.size
-    primed_choices = (1.0, -1.0) if sign_flips else (1.0,)
+    uidx, pidx, _, psign = _party_options(candidates.size, sign_flips)
     party_options = [
-        (i, j, s)
-        for i in range(m)
-        for j in range(m)
-        if i != j
-        for s in primed_choices
+        (int(i), int(j), float(s)) for i, j, s in zip(uidx, pidx, psign)
     ]
     yield from itertools.product(party_options, repeat=n)
 

@@ -6,18 +6,35 @@ sin(theta_i/2) sigma_z``, in-plane measurements only see the total angle
 closed-form Bell values:
 
 * ``primary``: every party measures ``A = sigma_x``, ``A' = sigma_y``; a
-  term with ``p`` primed settings has expectation ``cos(Theta - p*pi/2)``.
+  term with ``p`` primed settings has expectation
+  ``cos(Theta - p*pi/2) = Re(e^{i Theta} (-i)^p)``.
 * ``swapped``: for odd-n Mermin (and MK) all parties swap to
   ``A = sigma_y``, ``A' = sigma_x``; in every other case only party 1
-  changes, to ``A_1 = sigma_y``, ``A'_1 = -sigma_x``. Either way the
-  effective total angle shifts by ``pi/2``.
+  changes, to ``A_1 = sigma_y``, ``A'_1 = -sigma_x``.
 
-The resulting values are ``prefactor * |sin Theta|`` and
-``prefactor * |cos Theta|`` for Mermin/MK (which strategy carries the sine
-depends on ``n mod 4``, a consequence of the recursion's priming
-convention), and ``prefactor * |sin Theta +- cos Theta|`` with the two signs
-split across the strategies for Svetlichny and even-n MK. The
-better of the two strategies therefore certifies, at every ``Theta``:
+Summing the terms ``c_t`` of a polynomial therefore reduces every family
+and every ``n`` to one complex number, its GHZ phasor
+
+    g = sum_t c_t (-i)^{|t|}        (|t| = primed settings in term t),
+
+and one formula:
+
+    primary = |Re(e^{i Theta} g)|,    swapped = |Im(e^{i Theta} g)|.
+
+The primary value is the sum of the per-term expectations. Changing party 1
+multiplies its two settings' factors ``1, -i`` by ``-i``, hence every term,
+which turns ``Re`` into ``Im``. Swapping every party sends ``(-i)^p`` to
+``(-i)^(n-p)``, giving ``(-i)^n conj(g)``; for odd-n Mermin/MK ``g`` is real
+or imaginary, so that too is ``Im(e^{i Theta} g)`` up to sign.
+
+The two strategies are the two quadratures of ``e^{i Theta} g``, so their
+squares sum to ``|g|^2`` and the better one is at least ``|g|/sqrt(2)`` at
+every ``Theta``; ``|g|`` is the GHZ quantum value of the family. The phase
+of ``g`` sets the familiar shapes: a multiple of ``pi/2`` for Mermin and
+odd-n MK (values ``|g| |sin Theta|`` and ``|g| |cos Theta|``), an odd
+multiple of ``pi/4`` for Svetlichny and even-n MK (values
+``|g| |sin Theta +- cos Theta| / sqrt 2``).
+The better of the two strategies therefore certifies, at every ``Theta``:
 lhv violation and full genuine multipartite entanglement for odd-n Mermin
 (``>= 2^(n/2-1)``), complete nonseparability for odd-n Svetlichny
 (``>= 2^((n-3)/2)``), and the biseparable bound for even-n MK/Svetlichny
@@ -28,10 +45,10 @@ exceeded".
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
-from .polynomials import FAMILIES, FAMILY_MERMIN, FAMILY_MK
+from .polynomials import FAMILIES, FAMILY_MERMIN, FAMILY_MK, make_polynomial
 from .su2 import Rotation, X_AXIS, Y_AXIS
 
 STRATEGY_PRIMARY = "primary"
@@ -39,34 +56,9 @@ STRATEGY_SWAPPED = "swapped"
 STRATEGIES = (STRATEGY_PRIMARY, STRATEGY_SWAPPED)
 
 
-@dataclass(frozen=True)
-class RestrictedScenario:
-    """Per-party z-rotation angles (radians)."""
-
-    thetas: tuple[float, ...]
-
-    def __init__(self, thetas):
-        object.__setattr__(self, "thetas", tuple(float(t) for t in thetas))
-
-    @property
-    def n(self) -> int:
-        return len(self.thetas)
-
-    @property
-    def total(self) -> float:
-        """The only rotation parameter the in-plane Bell values depend on."""
-        return float(sum(self.thetas))
-
-
 def z_rotation(theta: float) -> Rotation:
     """Rotation by ``theta`` about the z-axis."""
     return Rotation(math.cos(theta / 2.0), 0.0, 0.0, math.sin(theta / 2.0))
-
-
-def _total(scenario) -> float:
-    if isinstance(scenario, RestrictedScenario):
-        return scenario.total
-    return float(scenario)
 
 
 def _check_strategy(strategy: str) -> None:
@@ -74,120 +66,38 @@ def _check_strategy(strategy: str) -> None:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
-def expectation(scenario, primed_count: int, strategy: str = STRATEGY_PRIMARY) -> float:
+def expectation(theta_total: float, primed_count: int) -> float:
     """Product expectation ``cos(Theta - p*pi/2)`` under the primary strategy.
 
-    ``scenario`` may be a :class:`RestrictedScenario` or the total angle
-    ``Theta``; ``primed_count`` is the number of primed settings in the term.
+    ``theta_total`` is the total angle ``Theta``; ``primed_count`` is the
+    number of primed settings in the term.
     """
-    if strategy != STRATEGY_PRIMARY:
-        raise ValueError("closed-form per-term expectations are defined for the "
-                         "primary strategy only")
-    return math.cos(_total(scenario) - primed_count * math.pi / 2.0)
+    return math.cos(float(theta_total) - primed_count * math.pi / 2.0)
 
 
-def _mermin_prefactor(n: int) -> float:
-    return 2.0 ** ((n - 1) / 2) if n % 2 == 1 else 2.0 ** (n / 2 - 1)
+@functools.lru_cache(maxsize=None)
+def _phasor(family: str, n: int) -> complex:
+    """The GHZ phasor ``g = sum_t c_t (-i)^{|t|}`` of one polynomial.
 
-
-def mermin_value(n: int, theta_total, strategy: str = STRATEGY_PRIMARY) -> float:
-    """Mermin value of one strategy: ``prefactor * |sin Theta|`` or ``|cos Theta|``.
-
-    The prefactor is ``2^((n-1)/2)`` for odd n and ``2^(n/2-1)`` for even n.
-    The primary strategy carries the sine except when ``n = 1 (mod 4)``,
-    where the recursion convention swaps the two strategies' roles.
+    The coefficients are dyadic and few, so the float sum is exact.
     """
-    if n < 2:
-        raise ValueError("need at least two parties")
-    _check_strategy(strategy)
-    theta = _total(theta_total)
-    sine_on_primary = n % 2 == 0 or n % 4 == 3
-    use_sine = sine_on_primary == (strategy == STRATEGY_PRIMARY)
-    trig = abs(math.sin(theta)) if use_sine else abs(math.cos(theta))
-    return _mermin_prefactor(n) * trig
-
-
-def _odd_svetlichny_base(n: int, theta: float) -> float:
-    if n % 4 == 1:
-        return abs(math.sin(theta) + math.cos(theta))
-    return abs(math.sin(theta) - math.cos(theta))
-
-
-def svetlichny_strategy_value(n: int, theta_total, strategy: str) -> float:
-    """One strategy's Svetlichny value for odd ``n``:
-    ``2^((n-3)/2) * |sin Theta +- cos Theta|``.
-
-    The sign is ``+`` for ``n = 1 (mod 4)`` and ``-`` for ``n = 3 (mod 4)``;
-    the swapped strategy evaluates the same expression at ``Theta + pi/2``,
-    which selects the opposite sign.
-    """
-    if n % 2 == 0 or n < 3:
-        raise ValueError("odd-n Svetlichny form needs odd n >= 3 "
-                         "(even n coincides with MK)")
-    _check_strategy(strategy)
-    theta = _total(theta_total)
-    if strategy == STRATEGY_SWAPPED:
-        theta = theta + math.pi / 2.0
-    return 2.0 ** ((n - 3) / 2) * _odd_svetlichny_base(n, theta)
-
-
-def svetlichny_value(n: int, theta_total) -> float:
-    """Best of the two strategies for odd-n Svetlichny; always >= 2^((n-3)/2)."""
-    return max(
-        svetlichny_strategy_value(n, theta_total, STRATEGY_PRIMARY),
-        svetlichny_strategy_value(n, theta_total, STRATEGY_SWAPPED),
-    )
-
-
-def _even_mk_base(n: int, theta: float) -> float:
-    if n % 4 == 0:
-        return abs(math.sin(theta) - math.cos(theta))
-    return abs(math.sin(theta) + math.cos(theta))
-
-
-def mk_strategy_value(n: int, theta_total, strategy: str) -> float:
-    """One strategy's MK value.
-
-    Odd ``n`` coincides with the Mermin value. Even ``n`` gives
-    ``2^(n/2-1) * |sin Theta +- cos Theta|`` with the sign set by
-    ``n mod 4``; the swapped strategy evaluates at ``Theta + pi/2`` and so
-    takes the opposite sign.
-    """
-    if n < 2:
-        raise ValueError("need at least two parties")
-    _check_strategy(strategy)
-    if n % 2 == 1:
-        return mermin_value(n, theta_total, strategy)
-    theta = _total(theta_total)
-    if strategy == STRATEGY_SWAPPED:
-        theta = theta + math.pi / 2.0
-    return 2.0 ** (n / 2 - 1) * _even_mk_base(n, theta)
-
-
-def mk_even_value(n: int, theta_total) -> float:
-    """Best of the two strategies for even-n MK; always >= 2^(n/2-1).
-
-    ``|sin - cos|`` and ``|sin + cos|`` cannot both drop below 1 (their
-    squares sum to 2), so the two in-plane strategies certify the
-    biseparable bound ``2^(n/2-1)`` at every ``Theta``.
-    """
-    if n % 2 == 1:
-        raise ValueError("even-n MK form needs even n (odd n is the Mermin case)")
-    return max(
-        mk_strategy_value(n, theta_total, STRATEGY_PRIMARY),
-        mk_strategy_value(n, theta_total, STRATEGY_SWAPPED),
-    )
+    return sum(float(coeff) * (-1j) ** bin(mask).count("1")
+               for mask, coeff in make_polynomial(family, n).terms)
 
 
 def strategy_value(family: str, n: int, theta_total, strategy: str) -> float:
-    """Closed-form Bell value of one family under one strategy."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
-    if family == FAMILY_MERMIN:
-        return mermin_value(n, theta_total, strategy)
-    if family == FAMILY_MK or n % 2 == 0:
-        return mk_strategy_value(n, theta_total, strategy)
-    return svetlichny_strategy_value(n, theta_total, strategy)
+    """Closed-form Bell value of one family under one strategy.
+
+    ``|Re(e^{i Theta} g)|`` for ``primary`` and ``|Im(e^{i Theta} g)|`` for
+    ``swapped``, with ``g`` the polynomial's GHZ phasor (module docstring).
+    """
+    _check_strategy(strategy)
+    g = _phasor(family, n)
+    theta = float(theta_total)
+    c, s = math.cos(theta), math.sin(theta)
+    if strategy == STRATEGY_PRIMARY:
+        return abs(g.real * c - g.imag * s)
+    return abs(g.real * s + g.imag * c)
 
 
 def best_value(family: str, n: int, theta_total) -> float:
@@ -196,17 +106,6 @@ def best_value(family: str, n: int, theta_total) -> float:
         strategy_value(family, n, theta_total, STRATEGY_PRIMARY),
         strategy_value(family, n, theta_total, STRATEGY_SWAPPED),
     )
-
-
-def sine_strategy_violates(n: int, theta_total) -> bool:
-    """Whether the sine-valued odd-n Mermin strategy strictly beats the lhv bound.
-
-    True iff ``|sin Theta| > 2^(-(n-1)/2)``; equality does not count. When
-    this fails, the cosine-valued strategy picks up the slack.
-    """
-    if n % 2 == 0:
-        raise ValueError("violation condition stated for odd n")
-    return abs(math.sin(_total(theta_total))) > 2.0 ** (-(n - 1) / 2)
 
 
 def strategy_settings(family: str, n: int, strategy: str):

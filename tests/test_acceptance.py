@@ -259,7 +259,7 @@ def test_c3d_restricted_grid_oracle_and_bounds():
         rst.best_value("mermin", n, theta) >= 2.0 ** (n / 2.0 - 1.0) - 1e-12
         for n in (3, 5, 7) for theta in grid)
     svet_ok = all(
-        rst.svetlichny_value(n, theta) >= 2.0 ** ((n - 3) / 2.0) - 1e-12
+        rst.best_value("svetlichny", n, theta) >= 2.0 ** ((n - 3) / 2.0) - 1e-12
         for n in (3, 5, 7) for theta in grid)
     check("3d-ii two-strategy maxima certify mermin-odd >= 2^(n/2-1) and "
           "svetlichny-odd >= 2^((n-3)/2) at every grid point",

@@ -72,6 +72,23 @@ def test_sample_rejects_bad_flags(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--samples", "0"),
+    ("--bin-width", "-1"),
+    ("--bin-width", "nan"),
+    ("--bin-width", "inf"),
+])
+def test_sample_bad_config_is_config_error(tmp_path, capsys, flag, value):
+    # argparse keeps the last occurrence, so the appended flag overrides.
+    assert run_cli([
+        "sample", "--n", "3", "--family", "mermin", "--candidates", "pauli",
+        "--samples", "50", "--seed", "1", "--out", str(tmp_path / "x"),
+        "--threads", "1", flag, value,
+    ]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x").exists()
+
+
 def test_sign_flip_switch_changes_results(tmp_path):
     base = ["sample", "--n", "2", "--family", "mk", "--candidates", "pauli",
             "--samples", "150", "--seed", "3"]

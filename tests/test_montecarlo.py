@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from bellframes.montecarlo import (
     merge_results,
     run_experiment,
     sample_generator,
+    summary_json,
 )
 
 
@@ -84,6 +86,19 @@ def test_merge_rejects_mixed_frame_measures():
         merge_results(a, b)
 
 
+def test_summary_records_non_default_frame_measure():
+    def keys(result):
+        return list(json.loads(summary_json(result)))
+
+    haar = run_experiment(small_config(samples=20))
+    uniform = run_experiment(small_config(samples=20, frame_measure="uniform-angle"))
+    default_keys = ["n", "family", "candidates", "samples", "seed", "sign_flips",
+                    "lhv_violation_prob", "bounds", "mean", "min", "max"]
+    assert keys(haar) == default_keys
+    assert keys(uniform) == default_keys[:6] + ["frame_measure"] + default_keys[6:]
+    assert json.loads(summary_json(uniform))["frame_measure"] == "uniform-angle"
+
+
 def test_uniform_angle_stream_contract():
     # Replay each sample's stream by hand: one uniform-angle rotation per
     # party in party order, then each party's own random candidate set.
@@ -155,12 +170,15 @@ def test_budget_checked_before_running():
 def test_invalid_config_rejected():
     with pytest.raises(ValueError):
         ExperimentConfig(3, "mermin", "pauli", 0, 1)
-    with pytest.raises(ValueError):
-        ExperimentConfig(3, "mermin", "pauli", 10, 1, bin_width=0.0)
+    for width in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ExperimentConfig(3, "mermin", "pauli", 10, 1, bin_width=width)
     with pytest.raises(ValueError):
         ExperimentConfig(3, "mermin", "pauli", 10, 1, frame_measure="uniform")
     with pytest.raises(ValueError):
         run_experiment(small_config(candidates="cube"))
+    with pytest.raises(ValueError, match="must be an integer"):
+        run_experiment(small_config(candidates="random:x"))
     with pytest.raises(ValueError):
         run_experiment(small_config(family="chsh"))
 

@@ -62,6 +62,8 @@ def test_random_candidate_set_needs_two_directions():
 def test_make_candidate_set_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_candidate_set("cube")
+    with pytest.raises(ValueError, match="must be an integer"):
+        make_candidate_set("random:x", np.random.default_rng(0))
 
 
 def test_candidate_set_validates_directions():

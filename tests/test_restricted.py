@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -10,12 +11,6 @@ from bellframes.optimizer import inplane_candidate_set, max_bell_value
 from oracles import restricted_exact_value
 
 
-def test_scenario_total():
-    scen = rst.RestrictedScenario([0.1, 0.2, -0.05])
-    assert scen.n == 3
-    assert abs(scen.total - 0.25) < 1e-15
-
-
 def test_z_rotation_form():
     rot = rst.z_rotation(0.7)
     assert rot.q1 == rot.q2 == 0.0
@@ -26,13 +21,7 @@ def test_z_rotation_form():
 def test_expectation_basic_values():
     assert abs(rst.expectation(0.0, 0) - 1.0) < 1e-15
     assert abs(rst.expectation(math.pi / 2.0, 1) - 1.0) < 1e-15
-    assert abs(rst.expectation(rst.RestrictedScenario([0.4, 0.3]), 2)
-               - math.cos(0.7 - math.pi)) < 1e-15
-
-
-def test_expectation_only_defined_for_primary():
-    with pytest.raises(ValueError):
-        rst.expectation(0.3, 1, strategy=rst.STRATEGY_SWAPPED)
+    assert abs(rst.expectation(0.4 + 0.3, 2) - math.cos(0.7 - math.pi)) < 1e-15
 
 
 def test_expectation_matches_correlator_oracle():
@@ -53,40 +42,40 @@ def test_expectation_matches_correlator_oracle():
 
 
 def test_mermin_value_examples():
-    assert abs(rst.mermin_value(3, math.pi / 2.0, rst.STRATEGY_PRIMARY) - 2.0) < 1e-12
-    assert rst.mermin_value(3, 0.0, rst.STRATEGY_PRIMARY) == 0.0
-    assert abs(rst.mermin_value(4, math.pi / 2.0, rst.STRATEGY_PRIMARY) - 2.0) < 1e-12
-    assert abs(rst.mermin_value(3, 0.0, rst.STRATEGY_SWAPPED) - 2.0) < 1e-12
+    assert abs(rst.strategy_value("mermin", 3, math.pi / 2.0, rst.STRATEGY_PRIMARY)
+               - 2.0) < 1e-12
+    assert rst.strategy_value("mermin", 3, 0.0, rst.STRATEGY_PRIMARY) == 0.0
+    assert abs(rst.strategy_value("mermin", 4, math.pi / 2.0, rst.STRATEGY_PRIMARY)
+               - 2.0) < 1e-12
+    assert abs(rst.strategy_value("mermin", 3, 0.0, rst.STRATEGY_SWAPPED) - 2.0) < 1e-12
 
 
 def test_svetlichny_value_examples():
-    assert abs(rst.svetlichny_value(3, math.pi / 4.0) - math.sqrt(2.0)) < 1e-12
-    assert abs(rst.svetlichny_value(3, 0.0) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        rst.svetlichny_strategy_value(4, 0.1, rst.STRATEGY_PRIMARY)
+    assert abs(rst.best_value("svetlichny", 3, math.pi / 4.0) - math.sqrt(2.0)) < 1e-12
+    assert abs(rst.best_value("svetlichny", 3, 0.0) - 1.0) < 1e-12
 
 
 def test_mk_even_value_examples():
-    assert abs(rst.mk_even_value(4, 0.0) - 2.0) < 1e-12
-    assert abs(rst.mk_even_value(2, math.pi / 2.0) - 1.0) < 1e-12
-    assert abs(rst.mk_even_value(4, math.pi / 4.0) - 2.0 * math.sqrt(2.0)) < 1e-12
-    with pytest.raises(ValueError):
-        rst.mk_even_value(3, 0.1)
+    assert abs(rst.best_value("mk", 4, 0.0) - 2.0) < 1e-12
+    assert abs(rst.best_value("mk", 2, math.pi / 2.0) - 1.0) < 1e-12
+    assert abs(rst.best_value("mk", 4, math.pi / 4.0) - 2.0 * math.sqrt(2.0)) < 1e-12
 
 
 def test_sine_strategy_violation_condition():
-    assert rst.sine_strategy_violates(3, math.pi / 2.0)
-    assert not rst.sine_strategy_violates(3, 0.0)
-    assert not rst.sine_strategy_violates(3, math.asin(0.5))
-    with pytest.raises(ValueError):
-        rst.sine_strategy_violates(4, 0.3)
+    # For mermin-3 the primary strategy carries the sine: 2 |sin Theta|.
+    def violates(theta):
+        return rst.strategy_value("mermin", 3, theta, rst.STRATEGY_PRIMARY) > bp.LHV_BOUND
+
+    assert violates(math.pi / 2.0)
+    assert not violates(0.0)
+    assert not violates(math.asin(0.5))
 
 
 def test_closed_forms_match_su2_oracle_on_grid():
     rng = np.random.default_rng(32)
     grid = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False) + 0.0123
     worst = 0.0
-    for n in range(2, 7):
+    for n in range(2, bp.MAX_PARTIES + 1):
         for family in bp.FAMILIES:
             poly = bp.make_polynomial(family, n)
             for strategy in rst.STRATEGIES:
@@ -107,11 +96,11 @@ def test_two_strategy_guarantees_on_grid():
             assert rst.best_value("mermin", n, theta) >= bound - 1e-12
         s_bound = 2.0 ** ((n - 3) / 2.0)
         for theta in grid:
-            assert rst.svetlichny_value(n, theta) >= s_bound - 1e-12
+            assert rst.best_value("svetlichny", n, theta) >= s_bound - 1e-12
     for n in (2, 4, 6):
         bound = 2.0 ** (n / 2.0 - 1.0)
         for theta in grid:
-            assert rst.mk_even_value(n, theta) >= bound - 1e-12
+            assert rst.best_value("mk", n, theta) >= bound - 1e-12
 
 
 def test_mermin_equality_points():
@@ -162,3 +151,23 @@ def test_strategy_settings_shapes():
     assert np.array_equal(swapped_even[0][0], su2.Y_AXIS)
     assert np.array_equal(swapped_even[0][1], -su2.X_AXIS)
     assert np.array_equal(swapped_even[1][0], su2.X_AXIS)
+
+
+@pytest.mark.parametrize("family", bp.FAMILIES)
+@pytest.mark.parametrize("n", range(2, bp.MAX_PARTIES + 1))
+def test_phasor_modulus_is_ghz_quantum_value(family, n):
+    # |g| is the GHZ quantum value, and the two-strategy maximum over Theta
+    # reaches it at Theta = -arg g, where the primary quadrature is |g|.
+    g = rst._phasor(family, n)
+    ghz = bp.bounds_table(n, family).threshold("GhzQuantumValue")
+    assert abs(abs(g) - ghz) < 1e-12
+    assert abs(rst.best_value(family, n, -cmath.phase(g)) - ghz) < 1e-12
+    grid = np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False)
+    assert max(rst.best_value(family, n, theta) for theta in grid) <= ghz + 1e-12
+
+
+def test_unknown_family_or_strategy_rejected():
+    with pytest.raises(ValueError):
+        rst.strategy_value("chsh", 3, 0.1, rst.STRATEGY_PRIMARY)
+    with pytest.raises(ValueError):
+        rst.strategy_value("mermin", 3, 0.1, "diagonal")
