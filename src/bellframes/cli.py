@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     sample.add_argument("--n", type=int, required=True, choices=range(2, 6))
     sample.add_argument("--family", required=True, choices=FAMILIES)
     sample.add_argument("--candidates", required=True,
-                        help="pauli, tetrahedron, or random:K")
+                        help="pauli, tetrahedron, tetrahedron-z, or random:K")
     sample.add_argument("--samples", type=int, required=True)
     sample.add_argument("--seed", type=int, default=0)
     sample.add_argument("--out", required=True, help="output directory")

@@ -172,7 +172,7 @@ def _compute_batch(config, ctensor, fixed_set, options, indices, out):
                 base[b, k] = random_candidate_set(m, rng).directions
     dirs = rotate_directions(quats[:, :, None, :], base)
     W, Z = _channel_tables(dirs, uidx, pidx, usign, psign)
-    best, _ = bell_values_over_assignments(ctensor, W, Z)
+    best, _ = bell_values_over_assignments(ctensor, W, Z, dirs[:, -1])
     out[:] = best
 
 

@@ -1,27 +1,42 @@
-"""Brute-force optimization of measurement-setting pairs for fixed rotations.
+"""Exact optimization of measurement-setting pairs for fixed rotations.
 
 Each party owns a candidate set of base directions and must pick an ordered
 pair of *distinct* bases ``(A_k, A'_k)`` (two genuinely different measurement
 bases), plus a sign for the primed setting. The unprimed sign is fixed to +
 by a symmetry reduction: flipping both settings of one party negates every
 full-correlation term exactly once and leaves the Bell value ``|sum|``
-unchanged. :func:`max_bell_value` scans all ``(2 m (m-1))^n`` reduced
-assignments and reports the best one.
+unchanged. :func:`max_bell_value` finds the best of all ``(2 m (m-1))^n``
+reduced assignments.
 
-The scan is vectorized. For unit Bloch directions the GHZ correlator of
-``sigma . d_1, ..., sigma . d_n`` reduces to two per-party channels,
+For unit Bloch directions the GHZ correlator of ``sigma . d_1, ...,
+sigma . d_n`` reduces to two per-party channels,
 
     E = Re prod_k (d_k[0] + i d_k[1])          (n odd)
     E = prod_k d_k[2] + Re prod_k (d_k[0] + i d_k[1])   (n even),
 
-so the Bell sum over every assignment combination is a contraction of the
-polynomial's dense coefficient tensor with per-party option tables. The scan
-runs in lexicographic assignment order (party, then base pair, then primed
-sign) and ties keep the earliest assignment, making results deterministic.
+so the Bell sum is a contraction of the polynomial's dense coefficient
+tensor with per-party option tables. The scan contracts parties 1..n-1 over
+all their options (prefixes). The sum is linear in the last party's two
+settings. Let ``w = d[0] + i d[1]`` and ``z = d[2]`` for its base
+directions, and ``alpha``, ``beta`` (``gamma``, ``delta``) be the prefix's
+coefficients of its unprimed and primed transverse (z) channels. Then base
+``i`` unprimed and base ``j`` primed with sign ``s`` give ``a_i + s b_j``,
+where ``a_i = Re(alpha w_i) [+ gamma z_i]`` and
+``b_j = Re(beta w_j) [+ delta z_j]`` are one real matrix product away from
+the prefix. The better sign scores ``|a_i| + |b_j|``, so the last party's
+``K = 2 m (m-1)`` options collapse into one m x m table per prefix with the
+diagonal masked (``|a_i + b_j|`` without sign flips), and the scan needs
+only its largest entry.
+
+Assignments are ordered lexicographically (party, then base pair, then
+primed sign, + before -), and ties keep the earliest: the earliest
+(prefix, i, j) with the largest table entry, primed sign + unless
+``a_i b_j < 0``. Results are deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,6 +49,11 @@ from .su2 import check_unit_direction, rotate_directions
 KIND_PAULI = "pauli"
 KIND_TETRAHEDRON = "tetrahedron"
 KIND_TETRAHEDRON_Z = "tetrahedron-z"
+
+# Cap on the last-party values one scan step holds: frames x prefixes x 2m
+# bases (float64 entries, 1 MiB).
+_SCAN_ENTRIES = 1 << 17
+_ROW_SIGNS = np.array([1.0, -1.0, 1.0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,12 +179,14 @@ def assignment_count(m: int, n: int, sign_flips: bool = True) -> int:
     return per_party**n
 
 
+@functools.lru_cache(maxsize=None)
 def _party_options(m: int, sign_flips: bool, unprimed_signs: bool = False):
     """Per-party option table as (unprimed idx, primed idx, unprimed sign, primed sign).
 
     Options are ordered lexicographically by (base pair, unprimed sign,
     primed sign); signs iterate + before -. ``unprimed_signs`` widens the
-    table to the unreduced enumeration used by soundness checks.
+    table to the unreduced enumeration used by soundness checks. Tables are
+    cached and read-only.
     """
     primed_choices = (1.0, -1.0) if sign_flips else (1.0,)
     unprimed_choices = (1.0, -1.0) if unprimed_signs else (1.0,)
@@ -177,12 +199,10 @@ def _party_options(m: int, sign_flips: bool, unprimed_signs: bool = False):
         for sp in primed_choices
     ]
     arr = np.array(rows)
-    return (
-        arr[:, 0].astype(int),
-        arr[:, 1].astype(int),
-        arr[:, 2],
-        arr[:, 3],
-    )
+    table = (arr[:, 0].astype(int), arr[:, 1].astype(int), arr[:, 2], arr[:, 3])
+    for column in table:
+        column.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -224,43 +244,89 @@ def _channel_tables(directions, unprimed_idx, primed_idx, unprimed_sign, primed_
     return W, Z
 
 
-def _contract_remaining(acc, tables):
-    """Fold parties 2..n into ``acc``: (B, P, R) -> (B, P * K^(n-1), 1)."""
+def _fold_parties(acc, tables):
+    """Contract one party per option table into ``acc``: (B, R, P) -> (B, R/2, P*K).
+
+    ``R`` runs over the bits of the parties not yet contracted, the next
+    party's bit most significant; ``P`` runs over the contracted parties'
+    options, the newest least significant.
+    """
     for Wk in tables:
-        b, p, r = acc.shape
-        acc = np.einsum("bptr,bto->bpor", acc.reshape(b, p, 2, r // 2), Wk)
-        acc = acc.reshape(b, -1, r // 2)
+        b, r, p = acc.shape
+        acc = acc.reshape(b, 2, r // 2, p, 1)
+        acc = acc[:, 0] * Wk[:, 0, None, None, :] + acc[:, 1] * Wk[:, 1, None, None, :]
+        acc = acc.reshape(b, r // 2, -1)
     return acc
 
 
-def bell_values_over_assignments(ctensor, W, Z):
+def bell_values_over_assignments(ctensor, W, Z, last):
     """Per-batch (best value, flat assignment index) over all combinations.
 
     ``ctensor`` is the dense (2,)*n coefficient tensor; ``W``/``Z`` have
-    shape (B, n, 2, K). The flat index encodes the per-party option indices
-    in base K, party 1 most significant, matching the lexicographic
-    enumeration order; ties resolve to the smallest index. The scan chunks
-    over party 1's options so memory stays at O(B * K^(n-1)).
+    shape (B, n, 2, K), built by :func:`_channel_tables` from a
+    :func:`_party_options` table, and ``last`` (B, m, 3) holds the last
+    party's effective base directions. The flat index encodes the per-party
+    option indices in base K, party 1 most significant, matching the
+    lexicographic enumeration order; ties resolve to the smallest index.
+
+    The last party is scored from ``last`` rather than from its option
+    tables (see the module docstring): a running maximum over the m(m-1)
+    off-diagonal pairs gives each prefix of parties 1..n-1 the largest entry
+    of its m x m pair table, and only the winning prefix's table is formed.
+    The earliest (prefix, i, j) with the largest entry wins, with primed
+    sign - exactly when ``a_i b_j < 0``. Party-1 options are scanned in
+    groups holding at most ``_SCAN_ENTRIES`` last-party values (at least
+    one option per group).
     """
     B, n, _, K = W.shape
-    even = n % 2 == 0
-    c2 = ctensor.reshape(2, -1)
+    m = last.shape[-2]
+    flips = K // (m * (m - 1))  # sign options per base pair: 1, 2 or 4
+    if flips * m * (m - 1) != K or flips not in (1, 2, 4):
+        raise ValueError(f"{K} options per party do not fit {m} base directions")
+    c = 3 if n % 2 == 0 else 2
+    # a_i = Re(alpha w_i) [+ gamma z_i] = rows[i] . (Re alpha, Im alpha[, gamma]).
+    rows = last[..., :c] * _ROW_SIGNS[:c]
+    ct = ctensor.reshape(2, -1).T
+    group = max(1, min(K, _SCAN_ENTRIES // (B * K ** (n - 2) * 2 * m)))
+    frames = np.arange(B)
     best = np.full(B, -np.inf)
     best_idx = np.zeros(B, dtype=np.int64)
-    block = K ** (n - 1)
-    for o1 in range(K):
-        accw = np.einsum("tr,bt->br", c2, W[:, 0, :, o1])[:, None, :]
-        accw = _contract_remaining(accw, [W[:, k] for k in range(1, n)])
-        if even:
-            accz = np.einsum("tr,bt->br", c2, Z[:, 0, :, o1])[:, None, :]
-            accz = _contract_remaining(accz, [Z[:, k] for k in range(1, n)])
-            vals = np.abs(accw[..., 0].real + accz[..., 0])
-        else:
-            vals = np.abs(accw[..., 0].real)
-        chunk_best = vals.max(axis=1)
-        chunk_arg = vals.argmax(axis=1)
+    for lo in range(0, K, group):
+        o1 = slice(lo, lo + group)
+        acc = _fold_parties(ct @ W[:, 0, :, o1], [W[:, k] for k in range(1, n - 1)])
+        parts = [acc.real, acc.imag]
+        if c == 3:
+            parts.append(_fold_parties(ct @ Z[:, 0, :, o1], [Z[:, k] for k in range(1, n - 1)]))
+        P = acc.shape[-1]
+        ab = (rows @ np.stack(parts, axis=1).reshape(B, c, 2 * P)).reshape(B, m, 2, P)
+        # a[i], b[j]: base i unprimed, base j primed, copied (np.positive) or
+        # sized (np.abs, with sign flips) into contiguous (B, P) arrays.
+        a, b = (np.abs if flips > 1 else np.positive)(
+            ab.transpose(2, 1, 0, 3), out=np.empty((2, m, B, P))
+        )
+        per_prefix = np.full((B, P), -np.inf)
+        pair = np.empty((B, P))
+        for i, j in itertools.permutations(range(m), 2):
+            np.add(a[i], b[j], out=pair)
+            if flips == 1:
+                np.abs(pair, out=pair)
+            np.maximum(per_prefix, pair, out=per_prefix)
+        prefix = per_prefix.argmax(axis=1)
+        chunk_best = per_prefix[frames, prefix]
         improved = chunk_best > best
-        best_idx[improved] = chunk_arg[improved] + o1 * block
+        if not improved.any():
+            continue
+        ai, bj = a[:, frames, prefix].T, b[:, frames, prefix].T
+        table = ai[:, :, None] + bj[:, None, :]
+        if flips == 1:
+            table = np.abs(table)
+        table.reshape(B, m * m)[:, :: m + 1] = -np.inf
+        i, j = np.divmod(table.reshape(B, m * m).argmax(axis=1), m)
+        digit = (i * (m - 1) + j - (j > i)) * flips
+        if flips > 1:
+            digit += ab[frames, i, 0, prefix] * ab[frames, j, 1, prefix] < 0.0
+        flat = (lo * K ** (n - 2) + prefix) * K + digit
+        best_idx[improved] = flat[improved]
         best[improved] = chunk_best[improved]
     return best, best_idx
 
@@ -291,7 +357,9 @@ def max_bell_value(
     uidx, pidx, usign, psign = _party_options(candidates.size, sign_flips)
     dirs = effective_directions(rotations, candidates)
     W, Z = _channel_tables(dirs[None, ...], uidx, pidx, usign, psign)
-    best, best_idx = bell_values_over_assignments(polynomial.coefficient_tensor(), W, Z)
+    best, best_idx = bell_values_over_assignments(
+        polynomial.coefficient_tensor(), W, Z, dirs[None, -1]
+    )
     K = len(uidx)
     digits = []
     flat = int(best_idx[0])

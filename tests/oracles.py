@@ -50,6 +50,39 @@ def brute_force_max(poly, rotations, directions, sign_flips=True, unprimed_signs
     return best
 
 
+def exhaustive_scan(ctensor, W, Z):
+    """Reference scan: (best value, flat index) over every option of every party.
+
+    Same contract as ``optimizer.bell_values_over_assignments``, including
+    the base-K flat index and the earliest-index tie rule, but every option
+    of the last party is scored as one more contracted party. Chunks over
+    party 1's options, so memory is O(B * K^(n-1)).
+    """
+    B, n, _, K = W.shape
+    c2 = ctensor.reshape(2, -1)
+
+    def contract(first, tables):
+        acc = np.einsum("tr,bt->br", c2, first)[:, None, :]
+        for Wk in tables:
+            b, p, r = acc.shape
+            acc = np.einsum("bptr,bto->bpor", acc.reshape(b, p, 2, r // 2), Wk)
+            acc = acc.reshape(b, -1, r // 2)
+        return acc[..., 0]
+
+    best = np.full(B, -np.inf)
+    best_idx = np.zeros(B, dtype=np.int64)
+    for o1 in range(K):
+        vals = contract(W[:, 0, :, o1], [W[:, k] for k in range(1, n)]).real
+        if n % 2 == 0:
+            vals = vals + contract(Z[:, 0, :, o1], [Z[:, k] for k in range(1, n)])
+        vals = np.abs(vals)
+        chunk_best = vals.max(axis=1)
+        improved = chunk_best > best
+        best_idx[improved] = vals.argmax(axis=1)[improved] + o1 * K ** (n - 1)
+        best[improved] = chunk_best[improved]
+    return best, best_idx
+
+
 def restricted_exact_value(poly, thetas, settings):
     """Bell value of explicit per-party settings under z-rotations, via su2."""
     from bellframes.restricted import z_rotation

@@ -273,17 +273,25 @@ def test_c3e_symmetry_reduction_and_frame_covariance():
         bell_values_over_assignments,
         effective_directions,
     )
-    from oracles import quat_multiply
+    from oracles import exhaustive_scan, quat_multiply
 
     rng = np.random.default_rng(SEED + 2)
     base = make_candidate_set("pauli")
     options = _party_options(base.size, sign_flips=True)
     full_options = _party_options(base.size, sign_flips=True, unprimed_signs=True)
 
-    def scan(poly, per_party_dirs, opts):
+    def scan(poly, per_party_dirs):
         eff = np.stack(per_party_dirs)[None, ...]
-        W, Z = _channel_tables(eff, *opts)
-        values, _ = bell_values_over_assignments(poly.coefficient_tensor(), W, Z)
+        W, Z = _channel_tables(eff, *options)
+        values, _ = bell_values_over_assignments(poly.coefficient_tensor(), W, Z, eff[:, -1])
+        return float(values[0])
+
+    def full_scan(poly, per_party_dirs):
+        # Every option scored as a contracted party: the scan folds the last
+        # party's signs analytically, so the unreduced side must not use it.
+        eff = np.stack(per_party_dirs)[None, ...]
+        W, Z = _channel_tables(eff, *full_options)
+        values, _ = exhaustive_scan(poly.coefficient_tensor(), W, Z)
         return float(values[0])
 
     worst_sym = 0.0
@@ -294,8 +302,8 @@ def test_c3e_symmetry_reduction_and_frame_covariance():
         rots = [su2.haar_rotation(rng) for _ in range(n)]
         dirs = [effective_directions([r], base)[0] for r in rots]
 
-        reduced = scan(poly, dirs, options)
-        full = scan(poly, dirs, full_options)
+        reduced = scan(poly, dirs)
+        full = full_scan(poly, dirs)
         worst_sym = max(worst_sym, abs(reduced - full))
 
         k = trial % n
@@ -307,7 +315,7 @@ def test_c3e_symmetry_reduction_and_frame_covariance():
         twisted_dirs = list(dirs)
         twisted_dirs[k] = np.array([su2.rotate_direction(twisted, d)
                                     for d in counter])
-        worst_cov = max(worst_cov, abs(scan(poly, twisted_dirs, options) - reduced))
+        worst_cov = max(worst_cov, abs(scan(poly, twisted_dirs) - reduced))
     check("3e symmetry reduction and frame covariance on 100 random instances "
           "<= 1e-12", worst_sym <= 1e-12 and worst_cov <= 1e-12,
           f"reduction diff={worst_sym:.2e}, covariance diff={worst_cov:.2e}")

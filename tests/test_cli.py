@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bellframes import cli
+from bellframes import optimizer as opt
 from bellframes import polynomials as bp
 
 
@@ -172,3 +174,13 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_sample_help_names_every_candidate_kind(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # keep argparse from wrapping inside a name
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["sample", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for kind in (opt.KIND_PAULI, opt.KIND_TETRAHEDRON, opt.KIND_TETRAHEDRON_Z, "random:K"):
+        assert re.search(rf"(?<![\w-]){re.escape(kind)}(?![\w-])", text), kind

@@ -135,7 +135,8 @@ def test_uniform_angle_stream_contract():
         sets = [random_candidate_set(3, rng) for _ in range(3)]
         eff = np.stack([effective_directions([r], c)[0] for r, c in zip(rots, sets)])
         W, Z = _channel_tables(eff[None, ...], *options)
-        value, _ = bell_values_over_assignments(poly.coefficient_tensor(), W, Z)
+        value, _ = bell_values_over_assignments(
+            poly.coefficient_tensor(), W, Z, eff[None, -1])
         assert abs(value[0] - res.values[b]) < 1e-12
 
 

@@ -5,15 +5,17 @@ import pytest
 
 from bellframes import polynomials as bp
 from bellframes import su2
+from bellframes.montecarlo import _candidate_size
 from bellframes.optimizer import (
     CandidateSet,
     assignment_count,
+    effective_directions,
     enumerate_assignments,
     inplane_candidate_set,
     make_candidate_set,
     max_bell_value,
 )
-from oracles import brute_force_max, quat_multiply, uniform_sphere
+from oracles import brute_force_max, exhaustive_scan, quat_multiply, uniform_sphere
 
 IDENT = su2.Rotation.identity()
 
@@ -165,7 +167,7 @@ def test_frame_covariance():
     def best(poly, per_party_dirs):
         eff = np.stack(per_party_dirs)[None, ...]
         W, Z = _channel_tables(eff, *options)
-        values, _ = bell_values_over_assignments(poly.coefficient_tensor(), W, Z)
+        values, _ = bell_values_over_assignments(poly.coefficient_tensor(), W, Z, eff[:, -1])
         return float(values[0])
 
     for trial in range(10):
@@ -184,6 +186,58 @@ def test_frame_covariance():
         per_party[k] = np.array(
             [su2.rotate_direction(twisted_rots[k], d) for d in counter])
         assert abs(best(poly, per_party) - plain) < 1e-12
+
+
+SCAN_KINDS = ("pauli", "tetrahedron", "tetrahedron-z",
+              "random:3", "random:4", "random:5", "random:6", "random:7")
+# Largest per-frame table the exhaustive reference scans here (assignments).
+ORACLE_ASSIGNMENTS = 1_500_000
+
+
+# Every (kind, n) whose smallest (unsigned) table the reference can scan.
+SCAN_CASES = [
+    (kind, n)
+    for kind in SCAN_KINDS
+    for n in range(2, 6)
+    if assignment_count(_candidate_size(kind), n, sign_flips=False) <= ORACLE_ASSIGNMENTS
+]
+
+
+@pytest.mark.parametrize("kind,n", SCAN_CASES)
+def test_scan_matches_exhaustive(kind, n):
+    # The last-party pair table against scoring every option of every party:
+    # same values and the same flat index (base K, earliest index on ties).
+    # For Pauli candidates frame 0 is unrotated: every table entry is 0 or
+    # +-1, so its many ties are exact and the tie rule decides them. The
+    # tensor with only the all-unprimed term zeroes every primed value of
+    # the last party, so its pairs tie exactly in j and in the primed sign.
+    from bellframes.optimizer import (
+        _channel_tables,
+        _party_options,
+        bell_values_over_assignments,
+    )
+
+    m = _candidate_size(kind)
+    rng = np.random.default_rng([n, SCAN_KINDS.index(kind)])
+    unprimed_only = np.zeros((2,) * n)
+    unprimed_only[(0,) * n] = 1.0
+    tensors = [bp.make_polynomial(f, n).coefficient_tensor() for f in bp.FAMILIES]
+    for case, ctensor in enumerate(tensors + [unprimed_only]):
+        dirs = np.empty((3, n, m, 3))
+        for b in range(3):
+            for k in range(n):
+                cs = make_candidate_set(kind, rng)
+                rot = IDENT if b == 0 and kind == "pauli" else su2.haar_rotation(rng)
+                dirs[b, k] = effective_directions([rot], cs)[0]
+        for sign_flips, unprimed_signs in ((True, False), (False, False), (True, True)):
+            options = _party_options(m, sign_flips, unprimed_signs)
+            if len(options[0]) ** n > ORACLE_ASSIGNMENTS:
+                continue
+            W, Z = _channel_tables(dirs, *options)
+            value, index = bell_values_over_assignments(ctensor, W, Z, dirs[:, -1])
+            ref_value, ref_index = exhaustive_scan(ctensor, W, Z)
+            assert np.max(np.abs(value - ref_value)) <= 1e-12
+            assert np.array_equal(index, ref_index), (case, sign_flips, unprimed_signs)
 
 
 def test_monotone_in_candidate_directions():
