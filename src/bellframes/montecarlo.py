@@ -39,13 +39,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .optimizer import (
-    _channel_tables,
-    _party_options,
     _random_kind_size,
     assignment_count,
-    bell_values_over_assignments,
     make_candidate_set,
     random_candidate_set,
+    score_frames,
 )
 from .polynomials import bounds_table, make_polynomial
 from .su2 import haar_rotation, rotate_directions, uniform_angle_rotation
@@ -150,19 +148,14 @@ def _candidate_size(kind: str) -> int:
     return make_candidate_set(kind).size if k is None else k
 
 
-def _compute_batch(config, ctensor, fixed_set, options, indices, out):
+def _compute_batch(config, ctensor, fixed_set, m, indices, out):
     """Score samples ``indices`` (global sample ids) into ``out`` (same length)."""
     n = config.n
-    m = _candidate_size(config.candidates)
-    uidx, pidx, usign, psign = options
     B = len(indices)
     # Resolved per batch, so a replaced module-level haar_rotation is the one called.
     draw = haar_rotation if config.frame_measure == FRAME_HAAR else uniform_angle_rotation
     quats = np.empty((B, n, 4))
-    if fixed_set is not None:
-        base = np.broadcast_to(fixed_set.directions, (B, n, m, 3))
-    else:
-        base = np.empty((B, n, m, 3))
+    base = fixed_set.directions if fixed_set is not None else np.empty((B, n, m, 3))
     for b, s in enumerate(indices):
         rng = sample_generator(config.seed, int(s))
         for k in range(n):
@@ -171,8 +164,7 @@ def _compute_batch(config, ctensor, fixed_set, options, indices, out):
             for k in range(n):
                 base[b, k] = random_candidate_set(m, rng).directions
     dirs = rotate_directions(quats[:, :, None, :], base)
-    W, Z = _channel_tables(dirs, uidx, pidx, usign, psign)
-    best, _ = bell_values_over_assignments(ctensor, W, Z, dirs[:, -1])
+    best, _ = score_frames(ctensor, dirs, config.sign_flips)
     out[:] = best
 
 
@@ -194,13 +186,12 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     fixed_set = None
     if not config.candidates.startswith("random:"):
         fixed_set = make_candidate_set(config.candidates)
-    options = _party_options(m, config.sign_flips)
-    K = len(options[0])
     ctensor = poly.coefficient_tensor()
 
     indices = np.arange(config.sample_offset, config.sample_offset + config.samples)
     values = np.empty(config.samples)
-    batch = max(1, min(config.samples, _BATCH_ENTRIES // K ** max(1, config.n - 1)))
+    prefixes = assignment_count(m, max(1, config.n - 1), config.sign_flips)
+    batch = max(1, min(config.samples, _BATCH_ENTRIES // prefixes))
     jobs = [
         (indices[lo : lo + batch], values[lo : lo + batch])
         for lo in range(0, config.samples, batch)
@@ -209,13 +200,13 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(
                 pool.map(
-                    lambda job: _compute_batch(config, ctensor, fixed_set, options, *job),
+                    lambda job: _compute_batch(config, ctensor, fixed_set, m, *job),
                     jobs,
                 )
             )
     else:
         for job in jobs:
-            _compute_batch(config, ctensor, fixed_set, options, *job)
+            _compute_batch(config, ctensor, fixed_set, m, *job)
     return _build_result(config, indices, values, per_sample)
 
 

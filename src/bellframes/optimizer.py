@@ -8,6 +8,10 @@ full-correlation term exactly once and leaves the Bell value ``|sum|``
 unchanged. :func:`max_bell_value` finds the best of all ``(2 m (m-1))^n``
 reduced assignments.
 
+:func:`score_frames` is the one frame-scoring kernel, called by
+:func:`max_bell_value` and the Monte Carlo: it alone builds the per-party
+option tables from the effective directions and runs the scan.
+
 For unit Bloch directions the GHZ correlator of ``sigma . d_1, ...,
 sigma . d_n`` reduces to two per-party channels,
 
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomials import BellPolynomial
-from .su2 import check_unit_direction, rotate_directions
+from .su2 import _unit_normal_draw, check_unit_direction, rotate_directions
 
 KIND_PAULI = "pauli"
 KIND_TETRAHEDRON = "tetrahedron"
@@ -120,14 +124,7 @@ def random_candidate_set(k: int, rng: np.random.Generator) -> CandidateSet:
     """``k`` independent uniform directions (normalized Gaussian triples)."""
     if k < 2:
         raise ValueError("random candidate sets need at least 2 directions")
-    dirs = np.empty((k, 3))
-    for i in range(k):
-        while True:
-            v = rng.standard_normal(3)
-            norm = np.linalg.norm(v)
-            if norm > 0.0:
-                break
-        dirs[i] = v / norm
+    dirs = np.array([_unit_normal_draw(rng, 3) for _ in range(k)])
     return CandidateSet(f"random:{k}", dirs)
 
 
@@ -180,22 +177,19 @@ def assignment_count(m: int, n: int, sign_flips: bool = True) -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _party_options(m: int, sign_flips: bool, unprimed_signs: bool = False):
+def _party_options(m: int, sign_flips: bool):
     """Per-party option table as (unprimed idx, primed idx, unprimed sign, primed sign).
 
-    Options are ordered lexicographically by (base pair, unprimed sign,
-    primed sign); signs iterate + before -. ``unprimed_signs`` widens the
-    table to the unreduced enumeration used by soundness checks. Tables are
-    cached and read-only.
+    Options are ordered lexicographically by (base pair, primed sign); signs
+    iterate + before -, and the unprimed sign is always + (the symmetry
+    reduction). Tables are cached and read-only.
     """
     primed_choices = (1.0, -1.0) if sign_flips else (1.0,)
-    unprimed_choices = (1.0, -1.0) if unprimed_signs else (1.0,)
     rows = [
-        (i, j, su, sp)
+        (i, j, 1.0, sp)
         for i in range(m)
         for j in range(m)
         if i != j
-        for su in unprimed_choices
         for sp in primed_choices
     ]
     arr = np.array(rows)
@@ -264,10 +258,11 @@ def bell_values_over_assignments(ctensor, W, Z, last):
 
     ``ctensor`` is the dense (2,)*n coefficient tensor; ``W``/``Z`` have
     shape (B, n, 2, K), built by :func:`_channel_tables` from a
-    :func:`_party_options` table, and ``last`` (B, m, 3) holds the last
-    party's effective base directions. The flat index encodes the per-party
-    option indices in base K, party 1 most significant, matching the
-    lexicographic enumeration order; ties resolve to the smallest index.
+    :func:`_party_options` table (see :func:`score_frames`), and ``last``
+    (B, m, 3) holds the last party's effective base directions. The flat
+    index encodes the per-party option indices in base K, party 1 most
+    significant, matching the lexicographic enumeration order; ties
+    resolve to the smallest index.
 
     The last party is scored from ``last`` rather than from its option
     tables (see the module docstring): a running maximum over the m(m-1)
@@ -280,8 +275,8 @@ def bell_values_over_assignments(ctensor, W, Z, last):
     """
     B, n, _, K = W.shape
     m = last.shape[-2]
-    flips = K // (m * (m - 1))  # sign options per base pair: 1, 2 or 4
-    if flips * m * (m - 1) != K or flips not in (1, 2, 4):
+    flips = K // (m * (m - 1))  # primed-sign options per base pair: 1 or 2
+    if flips * m * (m - 1) != K or flips not in (1, 2):
         raise ValueError(f"{K} options per party do not fit {m} base directions")
     c = 3 if n % 2 == 0 else 2
     # a_i = Re(alpha w_i) [+ gamma z_i] = rows[i] . (Re alpha, Im alpha[, gamma]).
@@ -331,6 +326,18 @@ def bell_values_over_assignments(ctensor, W, Z, last):
     return best, best_idx
 
 
+def score_frames(ctensor, dirs, sign_flips: bool = True):
+    """Per-frame (best value, flat assignment index) over all reduced assignments.
+
+    ``dirs`` (B, n, m, 3) holds each frame's effective (frame-conjugated)
+    base directions per party. The flat index counts options of the table
+    ``_party_options(m, sign_flips)`` (see :func:`bell_values_over_assignments`).
+    """
+    options = _party_options(dirs.shape[-2], sign_flips)
+    W, Z = _channel_tables(dirs, *options)
+    return bell_values_over_assignments(ctensor, W, Z, dirs[:, -1])
+
+
 def effective_directions(rotations, candidates: CandidateSet) -> np.ndarray:
     """Each party's candidate directions conjugated into the GHZ frame; (n, m, 3)."""
     quats = np.stack([r.quaternion for r in rotations])
@@ -354,12 +361,9 @@ def max_bell_value(
         raise ValueError(f"expected {n} rotations, got {len(rotations)}")
     for d in candidates.directions:
         check_unit_direction(d)
-    uidx, pidx, usign, psign = _party_options(candidates.size, sign_flips)
     dirs = effective_directions(rotations, candidates)
-    W, Z = _channel_tables(dirs[None, ...], uidx, pidx, usign, psign)
-    best, best_idx = bell_values_over_assignments(
-        polynomial.coefficient_tensor(), W, Z, dirs[None, -1]
-    )
+    best, best_idx = score_frames(polynomial.coefficient_tensor(), dirs[None], sign_flips)
+    uidx, pidx, _, psign = _party_options(candidates.size, sign_flips)
     K = len(uidx)
     digits = []
     flat = int(best_idx[0])

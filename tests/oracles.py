@@ -23,14 +23,15 @@ def signed_observable(rotation, direction):
     return s * su2.observable_matrix(su2.rotate_direction(rotation, d / s))
 
 
-def brute_force_max(poly, rotations, directions, sign_flips=True, unprimed_signs=False):
-    """Reference optimizer: per-assignment evaluation through ghz_correlator."""
-    n = poly.n
-    eff = [[su2.rotate_direction(r, d) for d in directions] for r in rotations]
-    m = len(directions)
+def option_rows(m, sign_flips=True, unprimed_signs=False):
+    """Per-party options (i, j, unprimed sign, primed sign) in scan order.
+
+    Signs iterate + before -; ``unprimed_signs`` keeps both unprimed signs
+    (the enumeration before the symmetry reduction).
+    """
     sp = (1.0, -1.0) if sign_flips else (1.0,)
     su_ = (1.0, -1.0) if unprimed_signs else (1.0,)
-    options = [
+    return [
         (i, j, a, b)
         for i in range(m)
         for j in range(m)
@@ -38,6 +39,21 @@ def brute_force_max(poly, rotations, directions, sign_flips=True, unprimed_signs
         for a in su_
         for b in sp
     ]
+
+
+def unreduced_options(m):
+    """The ``4 m (m-1)`` options with both signs of both settings, as the
+    columns ``optimizer._channel_tables`` takes (unprimed idx, primed idx,
+    unprimed sign, primed sign). Only :func:`exhaustive_scan` scores them."""
+    arr = np.array(option_rows(m, unprimed_signs=True))
+    return arr[:, 0].astype(int), arr[:, 1].astype(int), arr[:, 2], arr[:, 3]
+
+
+def brute_force_max(poly, rotations, directions, sign_flips=True, unprimed_signs=False):
+    """Reference optimizer: per-assignment evaluation through ghz_correlator."""
+    n = poly.n
+    eff = [[su2.rotate_direction(r, d) for d in directions] for r in rotations]
+    options = option_rows(len(directions), sign_flips, unprimed_signs)
     best = -1.0
     for combo in itertools.product(options, repeat=n):
         obs = []

@@ -15,13 +15,18 @@ import pytest
 from bellframes import polynomials as bp
 from bellframes import restricted as rst
 from bellframes import su2
+from bellframes.cli import (
+    check_lhv_bound,
+    check_polynomial_identities,
+    check_statevector_oracle,
+)
 from bellframes.montecarlo import ExperimentConfig, run_experiment
 from bellframes.optimizer import (
     inplane_candidate_set,
     make_candidate_set,
     max_bell_value,
 )
-from oracles import restricted_exact_value, uniform_sphere
+from oracles import restricted_exact_value
 
 IDENT = su2.Rotation.identity()
 SEED = 20_260_808
@@ -194,48 +199,21 @@ def test_c2f_mermin4_tetrahedron_near_certain_violation():
 
 
 def test_c3a_lhv_bound_is_one_for_all_families():
-    worst = None
-    for family in bp.FAMILIES:
-        for n in (2, 3, 4, 5):
-            value = bp.lhv_deterministic_max(bp.make_polynomial(family, n))
-            if value != 1.0:
-                worst = (family, n, value)
+    _, ok, detail = check_lhv_bound()
     check("3a deterministic-strategy maximum = 1 exactly (all families, n=2..5)",
-          worst is None, "exact" if worst is None else repr(worst))
+          ok, detail)
 
 
 def test_c3b_statevector_oracle_agreement():
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for _ in range(10_000):
-        n = int(rng.integers(2, 7))
-        rots = [su2.haar_rotation(rng) for _ in range(n)]
-        dirs = uniform_sphere(rng, n)
-        slow = su2.statevector_expectation(
-            rots, [su2.observable_matrix(d) for d in dirs])
-        fast = su2.ghz_correlator(
-            [su2.observable_matrix(su2.rotate_direction(r, d))
-             for r, d in zip(rots, dirs)])
-        worst = max(worst, abs(slow - fast))
+    _, ok, detail = check_statevector_oracle(10_000)
     check("3b statevector oracle vs closed-form correlator, 10^4 cases <= 1e-12",
-          worst <= 1e-12, f"max |diff| = {worst:.2e}")
+          ok, detail)
 
 
 def test_c3c_polynomial_identities():
-    odd_ok = all(bp.mermin_polynomial(n).terms == bp.mk_polynomial(n).terms
-                 for n in (3, 5, 7))
-    even_ok = all(bp.svetlichny_polynomial(n).terms == bp.mk_polynomial(n).terms
-                  for n in (2, 4, 6, 8))
-    from fractions import Fraction
-    half = Fraction(1, 2)
-    chsh_ok = bp.mk_polynomial(2).terms == (
-        (0, half), (1, half), (2, half), (3, -half))
-    mk3_ok = bp.mk_polynomial(3).terms == (
-        (1, half), (2, half), (4, half), (7, -half))
+    _, ok, detail = check_polynomial_identities()
     check("3c polynomial identities (mermin=mk odd<=7, svetlichny=mk even<=8, "
-          "explicit 2- and 3-party term lists)",
-          odd_ok and even_ok and chsh_ok and mk3_ok,
-          f"odd={odd_ok} even={even_ok} chsh={chsh_ok} mk3={mk3_ok}")
+          "explicit 2- and 3-party term lists)", ok, detail)
 
 
 def test_c3d_restricted_grid_oracle_and_bounds():
@@ -267,23 +245,15 @@ def test_c3d_restricted_grid_oracle_and_bounds():
 
 
 def test_c3e_symmetry_reduction_and_frame_covariance():
-    from bellframes.optimizer import (
-        _channel_tables,
-        _party_options,
-        bell_values_over_assignments,
-        effective_directions,
-    )
-    from oracles import exhaustive_scan, quat_multiply
+    from bellframes.optimizer import _channel_tables, effective_directions, score_frames
+    from oracles import exhaustive_scan, quat_multiply, unreduced_options
 
     rng = np.random.default_rng(SEED + 2)
     base = make_candidate_set("pauli")
-    options = _party_options(base.size, sign_flips=True)
-    full_options = _party_options(base.size, sign_flips=True, unprimed_signs=True)
+    full_options = unreduced_options(base.size)
 
     def scan(poly, per_party_dirs):
-        eff = np.stack(per_party_dirs)[None, ...]
-        W, Z = _channel_tables(eff, *options)
-        values, _ = bell_values_over_assignments(poly.coefficient_tensor(), W, Z, eff[:, -1])
+        values, _ = score_frames(poly.coefficient_tensor(), np.stack(per_party_dirs)[None])
         return float(values[0])
 
     def full_scan(poly, per_party_dirs):

@@ -105,13 +105,11 @@ def test_uniform_angle_stream_contract():
     from bellframes import polynomials as bp
     from bellframes import su2
     from bellframes.optimizer import (
-        _channel_tables,
-        _party_options,
-        bell_values_over_assignments,
         effective_directions,
         make_candidate_set,
         max_bell_value,
         random_candidate_set,
+        score_frames,
     )
 
     poly = bp.make_polynomial("mermin", 3)
@@ -128,15 +126,12 @@ def test_uniform_angle_stream_contract():
 
     drawn = replace(fixed, candidates="random:3")
     res = run_experiment(drawn, threads=2)
-    options = _party_options(3, sign_flips=True)
     for b, s in enumerate(res.sample_indices):
         rng = sample_generator(drawn.seed, int(s))
         rots = [su2.uniform_angle_rotation(rng) for _ in range(3)]
         sets = [random_candidate_set(3, rng) for _ in range(3)]
         eff = np.stack([effective_directions([r], c)[0] for r, c in zip(rots, sets)])
-        W, Z = _channel_tables(eff[None, ...], *options)
-        value, _ = bell_values_over_assignments(
-            poly.coefficient_tensor(), W, Z, eff[None, -1])
+        value, _ = score_frames(poly.coefficient_tensor(), eff[None])
         assert abs(value[0] - res.values[b]) < 1e-12
 
 

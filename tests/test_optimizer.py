@@ -14,6 +14,7 @@ from bellframes.optimizer import (
     inplane_candidate_set,
     make_candidate_set,
     max_bell_value,
+    score_frames,
 )
 from oracles import brute_force_max, exhaustive_scan, quat_multiply, uniform_sphere
 
@@ -153,21 +154,11 @@ def test_symmetry_reduction_sound():
 def test_frame_covariance():
     # Extra rotation on party k's frame + counter-rotated candidates for that
     # party leaves the maximum unchanged.
-    from bellframes.optimizer import (
-        _channel_tables,
-        _party_options,
-        bell_values_over_assignments,
-        effective_directions,
-    )
-
     rng = np.random.default_rng(23)
     base = make_candidate_set("pauli")
-    options = _party_options(base.size, sign_flips=True)
 
     def best(poly, per_party_dirs):
-        eff = np.stack(per_party_dirs)[None, ...]
-        W, Z = _channel_tables(eff, *options)
-        values, _ = bell_values_over_assignments(poly.coefficient_tensor(), W, Z, eff[:, -1])
+        values, _ = score_frames(poly.coefficient_tensor(), np.stack(per_party_dirs)[None])
         return float(values[0])
 
     for trial in range(10):
@@ -211,11 +202,7 @@ def test_scan_matches_exhaustive(kind, n):
     # +-1, so its many ties are exact and the tie rule decides them. The
     # tensor with only the all-unprimed term zeroes every primed value of
     # the last party, so its pairs tie exactly in j and in the primed sign.
-    from bellframes.optimizer import (
-        _channel_tables,
-        _party_options,
-        bell_values_over_assignments,
-    )
+    from bellframes.optimizer import _channel_tables, _party_options
 
     m = _candidate_size(kind)
     rng = np.random.default_rng([n, SCAN_KINDS.index(kind)])
@@ -229,15 +216,14 @@ def test_scan_matches_exhaustive(kind, n):
                 cs = make_candidate_set(kind, rng)
                 rot = IDENT if b == 0 and kind == "pauli" else su2.haar_rotation(rng)
                 dirs[b, k] = effective_directions([rot], cs)[0]
-        for sign_flips, unprimed_signs in ((True, False), (False, False), (True, True)):
-            options = _party_options(m, sign_flips, unprimed_signs)
-            if len(options[0]) ** n > ORACLE_ASSIGNMENTS:
+        for sign_flips in (True, False):
+            if assignment_count(m, n, sign_flips) > ORACLE_ASSIGNMENTS:
                 continue
-            W, Z = _channel_tables(dirs, *options)
-            value, index = bell_values_over_assignments(ctensor, W, Z, dirs[:, -1])
+            value, index = score_frames(ctensor, dirs, sign_flips)
+            W, Z = _channel_tables(dirs, *_party_options(m, sign_flips))
             ref_value, ref_index = exhaustive_scan(ctensor, W, Z)
             assert np.max(np.abs(value - ref_value)) <= 1e-12
-            assert np.array_equal(index, ref_index), (case, sign_flips, unprimed_signs)
+            assert np.array_equal(index, ref_index), (case, sign_flips)
 
 
 def test_monotone_in_candidate_directions():
@@ -286,3 +272,15 @@ def test_sign_flips_off_restricts_search():
 def test_rotation_count_must_match():
     with pytest.raises(ValueError):
         max_bell_value(bp.mermin_polynomial(3), [IDENT] * 2, make_candidate_set("pauli"))
+
+
+def test_scan_rejects_tables_it_cannot_fold():
+    # The scan folds one or two primed signs per base pair; the unreduced
+    # table (both unprimed signs too) is for the exhaustive reference only.
+    from bellframes.optimizer import _channel_tables, bell_values_over_assignments
+    from oracles import unreduced_options
+
+    dirs = effective_directions([IDENT] * 2, make_candidate_set("pauli"))[None]
+    W, Z = _channel_tables(dirs, *unreduced_options(3))
+    with pytest.raises(ValueError, match="do not fit"):
+        bell_values_over_assignments(bp.mk_polynomial(2).coefficient_tensor(), W, Z, dirs[:, -1])
