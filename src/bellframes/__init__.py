@@ -37,7 +37,6 @@ from .optimizer import (
     CandidateSet,
     OptimizationOutcome,
     assignment_count,
-    enumerate_assignments,
     inplane_candidate_set,
     make_candidate_set,
     max_bell_value,
@@ -82,7 +81,6 @@ __all__ = [
     "CandidateSet",
     "OptimizationOutcome",
     "assignment_count",
-    "enumerate_assignments",
     "inplane_candidate_set",
     "make_candidate_set",
     "max_bell_value",

@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .optimizer import (
+    _batch_frames,
     _random_kind_size,
     assignment_count,
     make_candidate_set,
@@ -58,8 +59,6 @@ DEFAULT_BUDGET = 10**10
 FRAME_HAAR = "haar"
 FRAME_UNIFORM_ANGLE = "uniform-angle"
 FRAME_MEASURES = (FRAME_HAAR, FRAME_UNIFORM_ANGLE)
-
-_BATCH_ENTRIES = 1 << 21
 
 
 class BudgetExceededError(RuntimeError):
@@ -190,8 +189,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
     indices = np.arange(config.sample_offset, config.sample_offset + config.samples)
     values = np.empty(config.samples)
-    prefixes = assignment_count(m, max(1, config.n - 1), config.sign_flips)
-    batch = max(1, min(config.samples, _BATCH_ENTRIES // prefixes))
+    batch = _batch_frames(m, config.n, config.sign_flips)
     jobs = [
         (indices[lo : lo + batch], values[lo : lo + batch])
         for lo in range(0, config.samples, batch)

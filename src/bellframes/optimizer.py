@@ -54,9 +54,12 @@ KIND_PAULI = "pauli"
 KIND_TETRAHEDRON = "tetrahedron"
 KIND_TETRAHEDRON_Z = "tetrahedron-z"
 
-# Cap on the last-party values one scan step holds: frames x prefixes x 2m
-# bases (float64 entries, 1 MiB).
+# Last-party values (frames x prefixes x 2m bases, float64) a scan step aims
+# to hold; a step takes at least one party-1 option, so it can hold more.
 _SCAN_ENTRIES = 1 << 17
+# Prefixes (frames x K^max(1, n-1)) per Monte Carlo batch, at least one frame.
+# A scan step of a B-frame batch holds up to max(_SCAN_ENTRIES, B K^(n-2) 2m).
+_BATCH_ENTRIES = 1 << 21
 _ROW_SIGNS = np.array([1.0, -1.0, 1.0])
 
 
@@ -68,12 +71,9 @@ class CandidateSet:
     directions: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.directions, dtype=float)
-        if d.ndim != 2 or d.shape[1] != 3 or d.shape[0] < 2:
+        d = check_unit_direction(self.directions, rows=True)
+        if d.shape[0] < 2:
             raise ValueError("directions must have shape (m, 3) with m >= 2")
-        norms = np.linalg.norm(d, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-10):
-            raise ValueError("candidate directions must be unit-norm")
         d.setflags(write=False)
         object.__setattr__(self, "directions", d)
 
@@ -212,15 +212,6 @@ class OptimizationOutcome:
     evaluations: int
 
 
-def enumerate_assignments(candidates: CandidateSet, n: int, sign_flips: bool = True):
-    """Yield every reduced assignment in the deterministic scan order."""
-    uidx, pidx, _, psign = _party_options(candidates.size, sign_flips)
-    party_options = [
-        (int(i), int(j), float(s)) for i, j, s in zip(uidx, pidx, psign)
-    ]
-    yield from itertools.product(party_options, repeat=n)
-
-
 def _channel_tables(directions, unprimed_idx, primed_idx, unprimed_sign, primed_sign):
     """Option tables W (complex transverse) and Z (real z) of shape (..., n, 2, K).
 
@@ -326,6 +317,11 @@ def bell_values_over_assignments(ctensor, W, Z, last):
     return best, best_idx
 
 
+def _batch_frames(m: int, n: int, sign_flips: bool) -> int:
+    """Frames per Monte Carlo batch for ``m`` base directions and ``n`` parties."""
+    return max(1, _BATCH_ENTRIES // assignment_count(m, max(1, n - 1), sign_flips))
+
+
 def score_frames(ctensor, dirs, sign_flips: bool = True):
     """Per-frame (best value, flat assignment index) over all reduced assignments.
 
@@ -359,21 +355,12 @@ def max_bell_value(
     n = polynomial.n
     if len(rotations) != n:
         raise ValueError(f"expected {n} rotations, got {len(rotations)}")
-    for d in candidates.directions:
-        check_unit_direction(d)
     dirs = effective_directions(rotations, candidates)
     best, best_idx = score_frames(polynomial.coefficient_tensor(), dirs[None], sign_flips)
     uidx, pidx, _, psign = _party_options(candidates.size, sign_flips)
     K = len(uidx)
-    digits = []
-    flat = int(best_idx[0])
-    for _ in range(n):
-        digits.append(flat % K)
-        flat //= K
-    digits.reverse()
-    assignment = tuple(
-        (int(uidx[o]), int(pidx[o]), float(psign[o])) for o in digits
-    )
+    digits = np.unravel_index(int(best_idx[0]), (K,) * n)
+    assignment = tuple((int(uidx[o]), int(pidx[o]), float(psign[o])) for o in digits)
     return OptimizationOutcome(
         bell_value=float(best[0]),
         assignment=assignment,

@@ -71,6 +71,14 @@ class BellPolynomial:
         """Sum of absolute coefficients: the largest conceivable Bell value."""
         return float(sum(abs(c) for _, c in self.terms))
 
+    def ghz_phasor(self) -> complex:
+        """``g = sum_t c_t (-i)^{|t|}``, ``|t|`` the primed settings of term t.
+
+        ``|g|`` is the GHZ quantum value (:mod:`bellframes.restricted`); the
+        dyadic coefficients make the float sum exact.
+        """
+        return sum(float(coeff) * (-1j) ** bin(mask).count("1") for mask, coeff in self.terms)
+
     def coefficient_tensor(self) -> np.ndarray:
         """Dense coefficients with shape ``(2,)*n``; axis k indexes party k+1's prime bit."""
         dense = np.zeros((2,) * self.n)
@@ -219,14 +227,6 @@ class BoundsTable:
         raise KeyError(label)
 
 
-def _ghz_quantum_value(family: str, n: int) -> float:
-    if family == FAMILY_MK:
-        return 2.0 ** ((n - 1) / 2)
-    if family == FAMILY_MERMIN:
-        return 2.0 ** ((n - 1) / 2) if n % 2 == 1 else 2.0 ** (n / 2 - 1)
-    return 2.0 ** ((n - 1) / 2) if n % 2 == 0 else 2.0 ** ((n - 2) / 2)
-
-
 def _sep_membership_bound(n: int, m: int) -> float:
     # A fully local model (m = n groups) is bounded by the lhv bound itself;
     # the closed-form odd-n exponent is only valid for coarser partitions.
@@ -262,5 +262,5 @@ def bounds_table(n: int, family: str) -> BoundsTable:
             thresholds.append((f"Sep({m})", _sep_membership_bound(n, m + 1)))
     poly = make_polynomial(family, n)
     thresholds.append(("AlgebraicMax", poly.algebraic_max()))
-    thresholds.append(("GhzQuantumValue", _ghz_quantum_value(family, n)))
+    thresholds.append(("GhzQuantumValue", abs(poly.ghz_phasor())))
     return BoundsTable(n=n, family=family, lhv_bound=LHV_BOUND, thresholds=tuple(thresholds))

@@ -38,13 +38,20 @@ Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
-def check_unit_direction(direction) -> np.ndarray:
-    """Return ``direction`` as a float array, rejecting non-unit vectors."""
+def check_unit_direction(direction, rows: bool = False) -> np.ndarray:
+    """Return ``direction`` as a float array, rejecting non-unit vectors.
+
+    With ``rows``, ``direction`` is an ``(m, 3)`` stack, checked row by row.
+    """
     d = np.asarray(direction, dtype=float)
-    if d.shape != (3,):
-        raise ValueError(f"direction must have shape (3,), got {d.shape}")
-    if abs(d @ d - 1.0) > 64 * UNIT_TOL:
-        raise ValueError(f"direction is not unit-norm: |d|^2 = {d @ d!r}")
+    if d.shape[-1:] != (3,) or d.ndim != 1 + rows:
+        shape = "(m, 3)" if rows else "(3,)"
+        raise ValueError(f"direction must have shape {shape}, got {d.shape}")
+    norm2 = np.einsum("ij,ij->i", d, d) if rows else d @ d
+    if rows:  # the row furthest from unit norm decides
+        norm2 = norm2[np.argmax(abs(norm2 - 1.0))]
+    if abs(norm2 - 1.0) > 64 * UNIT_TOL:
+        raise ValueError(f"direction is not unit-norm: |d|^2 = {norm2!r}")
     return d
 
 
@@ -143,9 +150,7 @@ def rotate_direction(rotation: Rotation, direction) -> np.ndarray:
     This is the direction whose measurement on the unrotated state is
     equivalent to measuring ``sigma . d`` on the state rotated by ``R``.
     """
-    d = check_unit_direction(direction)
-    out = rotate_directions(rotation.quaternion, d)
-    return out
+    return rotate_directions(rotation.quaternion, check_unit_direction(direction))
 
 
 def rotate_directions(quaternions, directions) -> np.ndarray:

@@ -113,6 +113,17 @@ def restricted_exact_value(poly, thetas, settings):
         [obs[k][1] if (mask >> k) & 1 else obs[k][0] for k in range(n)]))
 
 
+def ghz_quantum_value(family, n):
+    """The GHZ state's value of each family, from the paper's closed forms."""
+    if family == "mk":
+        return 2.0 ** ((n - 1) / 2)
+    if family == "mermin":
+        return 2.0 ** ((n - 1) / 2) if n % 2 == 1 else 2.0 ** (n / 2 - 1)
+    if family == "svetlichny":
+        return 2.0 ** ((n - 1) / 2) if n % 2 == 0 else 2.0 ** ((n - 2) / 2)
+    raise ValueError(family)
+
+
 def dense_mk_coefficients(n):
     """MK_n as a dense 2^n coefficient vector, built independently with numpy."""
     v = np.zeros(2)

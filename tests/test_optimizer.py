@@ -8,15 +8,15 @@ from bellframes import su2
 from bellframes.montecarlo import _candidate_size
 from bellframes.optimizer import (
     CandidateSet,
+    _party_options,
     assignment_count,
     effective_directions,
-    enumerate_assignments,
     inplane_candidate_set,
     make_candidate_set,
     max_bell_value,
     score_frames,
 )
-from oracles import brute_force_max, exhaustive_scan, quat_multiply, uniform_sphere
+from oracles import brute_force_max, exhaustive_scan, option_rows, quat_multiply, uniform_sphere
 
 IDENT = su2.Rotation.identity()
 
@@ -72,6 +72,9 @@ def test_make_candidate_set_rejects_unknown_kind():
 def test_candidate_set_validates_directions():
     with pytest.raises(ValueError):
         CandidateSet("bad", np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0]]))
+    # |d|^2 = 1 + 1e-10 breaks su2's unit rule, which max_bell_value relies on.
+    with pytest.raises(ValueError):
+        CandidateSet("bad", np.eye(3) * (1 + 5e-11))
 
 
 def test_assignment_counts():
@@ -81,18 +84,17 @@ def test_assignment_counts():
     assert assignment_count(3, 2, sign_flips=False) == 36
 
 
-def test_enumerate_assignments_counts_and_order():
-    pauli = make_candidate_set("pauli")
-    singles = list(enumerate_assignments(pauli, 1))
-    assert len(singles) == 12
-    assert singles[0] == ((0, 1, 1.0),)
-    assert singles[1] == ((0, 1, -1.0),)
-    pairs = list(enumerate_assignments(pauli, 2))
-    assert len(pairs) == 144
-    for (i, j, s), in singles:
-        assert i != j
-    tetra = make_candidate_set("tetrahedron")
-    assert sum(1 for _ in enumerate_assignments(tetra, 3)) == 13824
+@pytest.mark.parametrize("sign_flips", [True, False])
+@pytest.mark.parametrize("m", [2, 3, 4, 7])
+def test_party_options_match_oracle_rows(m, sign_flips):
+    # Scan order, option count and i != j, row for row against the oracle.
+    columns = _party_options(m, sign_flips)
+    rows = option_rows(m, sign_flips)
+    assert len(rows) == assignment_count(m, 1, sign_flips)
+    assert [tuple(map(float, row)) for row in zip(*columns)] == [
+        tuple(map(float, row)) for row in rows
+    ]
+    assert all(i != j for i, j, _, _ in rows)
 
 
 def test_m3_identity_pauli_reaches_two():

@@ -8,7 +8,7 @@ from bellframes import polynomials as bp
 from bellframes import restricted as rst
 from bellframes import su2
 from bellframes.optimizer import inplane_candidate_set, max_bell_value
-from oracles import restricted_exact_value
+from oracles import ghz_quantum_value, restricted_exact_value
 
 
 def test_z_rotation_form():
@@ -158,9 +158,12 @@ def test_strategy_settings_shapes():
 def test_phasor_modulus_is_ghz_quantum_value(family, n):
     # |g| is the GHZ quantum value, and the two-strategy maximum over Theta
     # reaches it at Theta = -arg g, where the primary quadrature is |g|.
+    # ghz_phasor is the only source of both |g| and bounds_table's entry, so
+    # both are pinned bit for bit to the closed forms.
     g = rst._phasor(family, n)
-    ghz = bp.bounds_table(n, family).threshold("GhzQuantumValue")
-    assert abs(abs(g) - ghz) < 1e-12
+    ghz = ghz_quantum_value(family, n)
+    assert abs(g) == ghz
+    assert bp.bounds_table(n, family).threshold("GhzQuantumValue") == ghz
     assert abs(rst.best_value(family, n, -cmath.phase(g)) - ghz) < 1e-12
     grid = np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False)
     assert max(rst.best_value(family, n, theta) for theta in grid) <= ghz + 1e-12
