@@ -142,11 +142,6 @@ def _binomial_stderr(p: float, samples: int) -> float:
     return math.sqrt(p * (1.0 - p) / samples)
 
 
-def _candidate_size(kind: str) -> int:
-    k = _random_kind_size(kind)
-    return make_candidate_set(kind).size if k is None else k
-
-
 def _compute_batch(config, ctensor, fixed_set, m, indices, out):
     """Score samples ``indices`` (global sample ids) into ``out`` (same length)."""
     n = config.n
@@ -174,7 +169,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     per-sample streams make the output independent of the partitioning.
     """
     poly = make_polynomial(config.family, config.n)
-    m = _candidate_size(config.candidates)
+    k = _random_kind_size(config.candidates)
+    fixed_set = None if k else make_candidate_set(config.candidates)
+    m = k or fixed_set.size
     per_sample = assignment_count(m, config.n, config.sign_flips)
     total = per_sample * config.samples
     if total > config.budget:
@@ -182,9 +179,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
             f"{config.samples} samples x {per_sample} assignments = {total} "
             f"evaluations exceed the budget of {config.budget}"
         )
-    fixed_set = None
-    if not config.candidates.startswith("random:"):
-        fixed_set = make_candidate_set(config.candidates)
     ctensor = poly.coefficient_tensor()
 
     indices = np.arange(config.sample_offset, config.sample_offset + config.samples)
@@ -209,11 +203,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
 
 
 def _build_result(config, indices, values, per_sample) -> ExperimentResult:
-    poly = make_polynomial(config.family, config.n)
     table = bounds_table(config.n, config.family)
     samples = len(values)
 
-    top = poly.algebraic_max()
+    top = table.threshold("AlgebraicMax")
     nbins = max(1, math.ceil(top / config.bin_width - 1e-9))
     edges = np.arange(nbins + 1) * config.bin_width
     which = np.clip(np.digitize(values, edges) - 1, 0, nbins - 1)

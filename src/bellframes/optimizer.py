@@ -122,8 +122,6 @@ def tetrahedron_z_candidate_set() -> CandidateSet:
 
 def random_candidate_set(k: int, rng: np.random.Generator) -> CandidateSet:
     """``k`` independent uniform directions (normalized Gaussian triples)."""
-    if k < 2:
-        raise ValueError("random candidate sets need at least 2 directions")
     dirs = np.array([_unit_normal_draw(rng, 3) for _ in range(k)])
     return CandidateSet(f"random:{k}", dirs)
 
@@ -165,7 +163,7 @@ def _random_kind_size(kind: str) -> int | None:
         raise ValueError(
             f"candidate kind {kind!r}: the size after 'random:' must be an integer"
         ) from None
-    if k < 2:
+    if k < 2:  # CandidateSet's rule, checked before run_experiment sizes batches from K
         raise ValueError("random candidate sets need at least 2 directions")
     return k
 

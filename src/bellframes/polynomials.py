@@ -8,6 +8,17 @@ dyadic rationals (``fractions.Fraction``), so construction is drift-free and
 polynomial-identity checks are exact; they are converted to floats only when
 a polynomial is evaluated.
 
+Every family comes from one rule. Write ``a_t`` for the product that takes
+``A'_k`` where bit ``k-1`` of ``t`` is set and ``A_k`` elsewhere, and ``|t|``
+for its number of primed settings; then ``prod_k (a_k + i a'_k) =
+sum_t i^{|t|} a_t``. Each family is ``Re(u prod_k (a_k + i a'_k)) / 2^e``
+for a small Gaussian integer ``u`` and an exponent ``e``
+(:func:`make_polynomial`), so term ``t`` has coefficient
+``Re(u i^{|t|}) / 2^e``: it depends only on ``|t|``. For MK_n,
+``u = (1 - i)^(n-1)`` is the two-channel recursion
+``MK_k = (MK_{k-1} (a_k + a'_k) + MK'_{k-1} (a_k - a'_k)) / 2`` in closed
+form.
+
 All three families are normalized so the local-hidden-variable bound is 1,
 which :func:`lhv_deterministic_max` verifies by exhaustive enumeration of
 deterministic strategies.
@@ -99,88 +110,45 @@ class BellPolynomial:
         return out
 
 
-def _normalize(terms: dict[int, Fraction], n: int, family: str) -> BellPolynomial:
-    kept = tuple(sorted((m, c) for m, c in terms.items() if c != 0))
-    return BellPolynomial(n=n, family=family, terms=kept)
+def make_polynomial(family: str, n: int) -> BellPolynomial:
+    """The ``family`` polynomial on ``n`` parties, by the rule in the module docstring.
 
-
-def _mk_terms(n: int) -> dict[int, Fraction]:
-    """MK_n by the two-channel recursion from the single-party base a_1."""
-    mk = {0: Fraction(1)}
-    half = Fraction(1, 2)
-    for k in range(1, n):
-        bit = 1 << k
-        swap_mask = (1 << k) - 1
-        mk_swapped = {mask ^ swap_mask: c for mask, c in mk.items()}
-        nxt: dict[int, Fraction] = {}
-        for mask, c in mk.items():
-            nxt[mask] = nxt.get(mask, Fraction(0)) + half * c
-            nxt[mask | bit] = nxt.get(mask | bit, Fraction(0)) + half * c
-        for mask, c in mk_swapped.items():
-            nxt[mask] = nxt.get(mask, Fraction(0)) + half * c
-            nxt[mask | bit] = nxt.get(mask | bit, Fraction(0)) - half * c
-        mk = nxt
-    return mk
+    MK_n and odd-n Mermin: ``u = (1 - i)^(n-1)``, ``e = n - 1``. Svetlichny:
+    ``u = (1 - i)^e`` with ``e = n`` for odd ``n``, ``n - 1`` for even ``n``.
+    Even-n Mermin: ``u = -i``, ``e = n/2``.
+    """
+    _check_family(family)
+    _check_party_count(n)
+    if family == FAMILY_MERMIN and n % 2 == 0:
+        u, e = -1j, n // 2
+    else:
+        e = n if family == FAMILY_SVETLICHNY and n % 2 == 1 else n - 1
+        u = (1 - 1j) ** e
+    # Re(u i^p) for p = 0..3: u is a small Gaussian integer, so the floats are exact.
+    by_p = [Fraction(int((u * 1j**p).real), 2**e) for p in range(4)]
+    terms = ((mask, by_p[mask.bit_count() % 4]) for mask in range(1 << n))
+    return BellPolynomial(n, family, tuple((mask, c) for mask, c in terms if c))
 
 
 def mk_polynomial(n: int) -> BellPolynomial:
     """Mermin-Klyshko polynomial MK_n; MK_2 is the CHSH polynomial."""
-    _check_party_count(n)
-    return _normalize(_mk_terms(n), n, FAMILY_MK)
+    return make_polynomial(FAMILY_MK, n)
+
+
+def mermin_polynomial(n: int) -> BellPolynomial:
+    """Mermin polynomial M_n; for odd ``n`` its term list is MK_n's."""
+    return make_polynomial(FAMILY_MERMIN, n)
+
+
+def svetlichny_polynomial(n: int) -> BellPolynomial:
+    """Svetlichny polynomial S_n: ``(MK_n + MK'_n)/2`` for odd ``n``, MK_n for even ``n``."""
+    return make_polynomial(FAMILY_SVETLICHNY, n)
 
 
 def prime_swap(p: BellPolynomial) -> BellPolynomial:
     """Exchange primed and unprimed settings of every party."""
     full = (1 << p.n) - 1
-    return _normalize({mask ^ full: c for mask, c in p.terms}, p.n, p.family)
-
-
-def mermin_polynomial(n: int) -> BellPolynomial:
-    """Mermin polynomial M_n.
-
-    For even ``n``, expands to the terms whose primed count ``p`` is odd,
-    with coefficient ``+N`` for ``p = 1 mod 4`` and ``-N`` for
-    ``p = 3 mod 4``, where ``N = 2^(-n/2)``. For odd ``n`` the Mermin and
-    MK polynomials coincide, so the MK_n term list is returned.
-    """
-    _check_party_count(n)
-    if n % 2 == 1:
-        return _normalize(_mk_terms(n), n, FAMILY_MERMIN)
-    unit = Fraction(1, 2 ** (n // 2))
-    terms: dict[int, Fraction] = {}
-    for mask in range(1 << n):
-        p = bin(mask).count("1")
-        if p % 2 == 1:
-            terms[mask] = unit if p % 4 == 1 else -unit
-    return _normalize(terms, n, FAMILY_MERMIN)
-
-
-def svetlichny_polynomial(n: int) -> BellPolynomial:
-    """Svetlichny polynomial ``S_n``.
-
-    ``S_n = (MK_n + MK'_n)/2`` for odd ``n``; for even ``n`` the Svetlichny
-    and MK polynomials coincide, so the MK_n term list is returned.
-    """
-    _check_party_count(n)
-    mk = _mk_terms(n)
-    if n % 2 == 0:
-        return _normalize(mk, n, FAMILY_SVETLICHNY)
-    full = (1 << n) - 1
-    half = Fraction(1, 2)
-    terms: dict[int, Fraction] = {}
-    for mask, c in mk.items():
-        terms[mask] = terms.get(mask, Fraction(0)) + half * c
-        terms[mask ^ full] = terms.get(mask ^ full, Fraction(0)) + half * c
-    return _normalize(terms, n, FAMILY_SVETLICHNY)
-
-
-def make_polynomial(family: str, n: int) -> BellPolynomial:
-    _check_family(family)
-    if family == FAMILY_MERMIN:
-        return mermin_polynomial(n)
-    if family == FAMILY_MK:
-        return mk_polynomial(n)
-    return svetlichny_polynomial(n)
+    return BellPolynomial(p.n, p.family, tuple(sorted((mask ^ full, c) for mask, c in p.terms)))
 
 
 def lhv_deterministic_max(p: BellPolynomial) -> float:

@@ -77,7 +77,9 @@ def expectation(theta_total: float, primed_count: int) -> float:
 
 @functools.lru_cache(maxsize=None)
 def _phasor(family: str, n: int) -> complex:
-    """:meth:`BellPolynomial.ghz_phasor`, cached: building a polynomial costs ~240 us."""
+    """:meth:`BellPolynomial.ghz_phasor`, cached: building a polynomial and its phasor
+    takes 7-260 us for n = 2..8 (one Xeon core), a cached call 0.1 us, and
+    :func:`strategy_value` runs twice per sweep point."""
     return make_polynomial(family, n).ghz_phasor()
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from bellframes import polynomials as bp
 from bellframes import su2
-from bellframes.montecarlo import _candidate_size
 from bellframes.optimizer import (
     CandidateSet,
     _party_options,
@@ -14,6 +13,7 @@ from bellframes.optimizer import (
     inplane_candidate_set,
     make_candidate_set,
     max_bell_value,
+    random_candidate_set,
     score_frames,
 )
 from oracles import brute_force_max, exhaustive_scan, option_rows, quat_multiply, uniform_sphere
@@ -60,6 +60,8 @@ def test_random_candidate_set_reproducible():
 def test_random_candidate_set_needs_two_directions():
     with pytest.raises(ValueError):
         make_candidate_set("random:1", np.random.default_rng(0))
+    with pytest.raises(ValueError, match="m >= 2"):
+        random_candidate_set(1, np.random.default_rng(0))
 
 
 def test_make_candidate_set_rejects_unknown_kind():
@@ -75,6 +77,8 @@ def test_candidate_set_validates_directions():
     # |d|^2 = 1 + 1e-10 breaks su2's unit rule, which max_bell_value relies on.
     with pytest.raises(ValueError):
         CandidateSet("bad", np.eye(3) * (1 + 5e-11))
+    with pytest.raises(ValueError, match="m >= 2"):
+        CandidateSet("one", np.eye(3)[:1])
 
 
 def test_assignment_counts():
@@ -192,7 +196,8 @@ SCAN_CASES = [
     (kind, n)
     for kind in SCAN_KINDS
     for n in range(2, 6)
-    if assignment_count(_candidate_size(kind), n, sign_flips=False) <= ORACLE_ASSIGNMENTS
+    if assignment_count(make_candidate_set(kind, np.random.default_rng(0)).size, n,
+                        sign_flips=False) <= ORACLE_ASSIGNMENTS
 ]
 
 
@@ -206,7 +211,7 @@ def test_scan_matches_exhaustive(kind, n):
     # the last party, so its pairs tie exactly in j and in the primed sign.
     from bellframes.optimizer import _channel_tables, _party_options
 
-    m = _candidate_size(kind)
+    m = make_candidate_set(kind, np.random.default_rng(0)).size
     rng = np.random.default_rng([n, SCAN_KINDS.index(kind)])
     unprimed_only = np.zeros((2,) * n)
     unprimed_only[(0,) * n] = 1.0

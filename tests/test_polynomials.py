@@ -11,10 +11,6 @@ from oracles import dense_mk_coefficients
 HALF = Fraction(1, 2)
 
 
-def terms_dict(poly):
-    return dict(poly.terms)
-
-
 def test_chsh_term_list():
     assert bp.mk_polynomial(2).terms == (
         (0b00, HALF),
@@ -81,13 +77,15 @@ def test_prime_swap_single_term():
     assert bp.prime_swap(poly).terms == ((0b01, Fraction(1)),)
 
 
-def test_mermin_even_expansion():
-    poly = bp.mermin_polynomial(4)
-    assert len(poly.terms) == 8
+@pytest.mark.parametrize("n", (2, 4, 6, 8))
+def test_mermin_even_expansion(n):
+    poly = bp.mermin_polynomial(n)
+    assert len(poly.terms) == 1 << (n - 1)
+    unit = Fraction(1, 2 ** (n // 2))
     for mask, coeff in poly.terms:
         p = bin(mask).count("1")
         assert p % 2 == 1
-        expected = Fraction(1, 4) if p % 4 == 1 else Fraction(-1, 4)
+        expected = unit if p % 4 == 1 else -unit
         assert coeff == expected
 
 
@@ -101,21 +99,18 @@ def test_svetlichny_equals_mk_for_even_n(n):
     assert bp.svetlichny_polynomial(n).terms == bp.mk_polynomial(n).terms
 
 
-def test_svetlichny_odd_merges_both_swap_sectors():
-    s3 = bp.svetlichny_polynomial(3)
-    assert len(s3.terms) == 8
-    assert {abs(c) for _, c in s3.terms} == {Fraction(1, 4)}
-    # oracle: merge MK_3 and its prime swap by hand
-    mk3 = dict(bp.mk_polynomial(3).terms)
-    merged = {}
-    for mask, c in mk3.items():
-        merged[mask] = merged.get(mask, Fraction(0)) + c / 2
-        merged[mask ^ 0b111] = merged.get(mask ^ 0b111, Fraction(0)) + c / 2
-    assert terms_dict(s3) == merged
-
-    s5 = bp.svetlichny_polynomial(5)
-    assert len(s5.terms) == 32
-    assert {abs(c) for _, c in s5.terms} == {Fraction(1, 8)}
+@pytest.mark.parametrize("n", (3, 5, 7))
+def test_svetlichny_odd_merges_both_swap_sectors(n):
+    poly = bp.svetlichny_polynomial(n)
+    assert len(poly.terms) == 1 << n
+    assert {abs(c) for _, c in poly.terms} == {Fraction(1, 2 ** ((n + 1) // 2))}
+    # oracle: merge the dense MK_n and its prime swap by hand
+    d = dense_mk_coefficients(n)
+    full = (1 << n) - 1
+    rebuilt = np.zeros(1 << n)
+    for mask, coeff in poly.terms:
+        rebuilt[mask] = float(coeff)
+    assert np.array_equal(rebuilt, [(d[mask] + d[mask ^ full]) / 2 for mask in range(1 << n)])
 
 
 def test_evaluate_algebraic_maximum_case():
