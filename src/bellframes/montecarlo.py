@@ -27,12 +27,21 @@ the default measure and its stream is unchanged from earlier versions, so
 default results keep their bits. Identical configs therefore produce
 bit-identical results regardless of batching, threading or sample
 partitioning.
+
+Each batch re-keys one Philox generator of its own to every sample's stream
+and draws the sample's normals in one call (uniform-angle rotations first,
+party by party): the same sequence as one call per draw, normalized with the
+rounding of ``v / math.sqrt(v @ v)``. The scalar :func:`sample_generator`,
+:func:`haar_rotation`, :func:`uniform_angle_rotation` and
+:func:`random_candidate_set` stay the oracle, and redraw a sample whose draw
+has zero norm (measure zero).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -47,7 +56,7 @@ from .optimizer import (
     score_frames,
 )
 from .polynomials import bounds_table, make_polynomial
-from .su2 import haar_rotation, rotate_directions, uniform_angle_rotation
+from .su2 import check_unit_norms, haar_rotation, rotate_directions, uniform_angle_rotation
 
 # A Bell value must exceed a bound by more than this to count as a crossing,
 # so exact-equality cases are never reported as violations.
@@ -131,10 +140,15 @@ class ExperimentResult:
     evaluations: int
 
 
+def _sample_key(seed: int, sample_index: int) -> tuple[int, int]:
+    """The Philox key of one sample's stream, as two little-endian 64-bit words."""
+    digest = hashlib.sha256(b"bellframes:%d:%d" % (seed, sample_index)).digest()
+    return struct.unpack("<2Q", digest[:16])
+
+
 def sample_generator(seed: int, sample_index: int) -> np.random.Generator:
     """The private random stream of one sample (see module docstring)."""
-    digest = hashlib.sha256(b"bellframes:%d:%d" % (seed, sample_index)).digest()
-    key = int.from_bytes(digest[:16], "little")
+    key = np.array(_sample_key(seed, sample_index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -142,21 +156,65 @@ def _binomial_stderr(p: float, samples: int) -> float:
     return math.sqrt(p * (1.0 - p) / samples)
 
 
+def _normalize(v):
+    """Scale the vectors of ``v`` ``(B, ..., k)`` to unit norm in place, bit
+    for bit as ``v / math.sqrt(v @ v)``; returns which samples hold a zero."""
+    norm = np.sqrt(v[..., None, :] @ v[..., :, None])[..., 0]
+    zero = norm == 0.0
+    np.divide(v, norm, out=v, where=~zero)
+    return zero.reshape(len(v), -1).any(axis=1)
+
+
+def _draw_frames(config, m, indices, fixed_set):
+    """Frame quaternions ``(B, n, 4)`` and base directions of samples ``indices``.
+
+    The base directions are ``fixed_set``'s, or, when it is ``None``, each
+    sample's own random sets ``(B, n, m, 3)``. One generator, private to
+    this call so that batches on other threads never share it, is re-keyed
+    to each sample's stream. A sample with a zero-norm vector (measure zero)
+    is drawn again on the scalar path.
+    """
+    n, B = config.n, len(indices)
+    haar = config.frame_measure == FRAME_HAAR
+    head = 4 * n if haar else 0
+    normals = np.empty((B, head + (3 * m * n if fixed_set is None else 0)))
+    quats = None if haar else np.empty((B, n, 4))
+    bitgen = np.random.Philox(0)
+    rng = np.random.Generator(bitgen)
+    # A fresh stream: counter 0, empty buffer; lists keep the setter cheap.
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for b, s in enumerate(indices.tolist()):
+        state["state"]["key"] = _sample_key(config.seed, s)
+        bitgen.state = state
+        if not haar:  # uniform-angle rotations come first, party by party
+            quats[b] = [uniform_angle_rotation(rng).quaternion for _ in range(n)]
+        rng.standard_normal(out=normals[b])
+
+    redraw = np.zeros(B, dtype=bool)
+    if haar:
+        quats = normals[:, :head].reshape(B, n, 4)
+        redraw |= _normalize(quats)
+    if fixed_set is None:
+        base = normals[:, head:].reshape(B, n, m, 3)
+        redraw |= _normalize(base)
+    else:
+        base = fixed_set.directions
+    draw = haar_rotation if haar else uniform_angle_rotation
+    for b in np.flatnonzero(redraw):
+        rng = sample_generator(config.seed, int(indices[b]))
+        quats[b] = [draw(rng).quaternion for _ in range(n)]
+        if fixed_set is None:
+            base[b] = [random_candidate_set(m, rng).directions for _ in range(n)]
+    check_unit_norms(quats, "quaternion")
+    if fixed_set is None:
+        check_unit_norms(base, "direction")
+    return quats, base
+
+
 def _compute_batch(config, ctensor, fixed_set, m, indices, out):
     """Score samples ``indices`` (global sample ids) into ``out`` (same length)."""
-    n = config.n
-    B = len(indices)
-    # Resolved per batch, so a replaced module-level haar_rotation is the one called.
-    draw = haar_rotation if config.frame_measure == FRAME_HAAR else uniform_angle_rotation
-    quats = np.empty((B, n, 4))
-    base = fixed_set.directions if fixed_set is not None else np.empty((B, n, m, 3))
-    for b, s in enumerate(indices):
-        rng = sample_generator(config.seed, int(s))
-        for k in range(n):
-            quats[b, k] = draw(rng).quaternion
-        if fixed_set is None:
-            for k in range(n):
-                base[b, k] = random_candidate_set(m, rng).directions
+    quats, base = _draw_frames(config, m, indices, fixed_set)
     dirs = rotate_directions(quats[:, :, None, :], base)
     best, _ = score_frames(ctensor, dirs, config.sign_flips)
     out[:] = best

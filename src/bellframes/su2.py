@@ -47,12 +47,22 @@ def check_unit_direction(direction, rows: bool = False) -> np.ndarray:
     if d.shape[-1:] != (3,) or d.ndim != 1 + rows:
         shape = "(m, 3)" if rows else "(3,)"
         raise ValueError(f"direction must have shape {shape}, got {d.shape}")
-    norm2 = np.einsum("ij,ij->i", d, d) if rows else d @ d
-    if rows:  # the row furthest from unit norm decides
-        norm2 = norm2[np.argmax(abs(norm2 - 1.0))]
-    if abs(norm2 - 1.0) > 64 * UNIT_TOL:
-        raise ValueError(f"direction is not unit-norm: |d|^2 = {norm2!r}")
+    if rows:
+        check_unit_norms(d, "direction")
+    elif abs(d @ d - 1.0) > 64 * UNIT_TOL:
+        raise ValueError(f"direction is not unit-norm: |d|^2 = {d @ d!r}")
     return d
+
+
+def check_unit_norms(vectors, name: str) -> None:
+    """Reject a stack ``(..., k)`` of vectors unless every ``|v|^2`` is
+    within ``64 UNIT_TOL`` of 1, the rule of :func:`check_unit_direction`
+    and :class:`Rotation`. The vector furthest from unit norm is reported.
+    """
+    norm2 = np.einsum("...i,...i->...", vectors, vectors).reshape(-1)
+    norm2 = norm2[np.argmax(abs(norm2 - 1.0))]
+    if abs(norm2 - 1.0) > 64 * UNIT_TOL:
+        raise ValueError(f"{name} is not unit-norm: |{name[0]}|^2 = {norm2!r}")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ import itertools
 import numpy as np
 
 from bellframes import su2
+from bellframes.montecarlo import FRAME_HAAR, sample_generator
+from bellframes.optimizer import make_candidate_set, random_candidate_set
 
 
 def quat_multiply(a, b):
@@ -147,3 +149,16 @@ def uniform_sphere(rng, count):
 def octant_fractions(points):
     idx = (points[:, 0] > 0) * 4 + (points[:, 1] > 0) * 2 + (points[:, 2] > 0)
     return np.bincount(idx, minlength=8) / len(points)
+
+
+def sample_frames(config, m, s):
+    """Sample ``s``'s frame quaternions ``(n, 4)`` and base directions
+    (``(n, m, 3)``), replayed on the scalar stream: a generator of its own,
+    one call per draw, and each party's random set drawn direction by
+    direction. A fixed kind's directions are its candidate set's."""
+    rng = sample_generator(config.seed, s)
+    draw = su2.haar_rotation if config.frame_measure == FRAME_HAAR else su2.uniform_angle_rotation
+    quats = np.array([draw(rng).quaternion for _ in range(config.n)])
+    if not config.candidates.startswith("random:"):
+        return quats, make_candidate_set(config.candidates).directions
+    return quats, np.array([random_candidate_set(m, rng).directions for _ in range(config.n)])

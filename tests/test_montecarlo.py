@@ -1,18 +1,24 @@
+import hashlib
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import sample_frames
 
+from bellframes import montecarlo
 from bellframes.montecarlo import (
     BudgetExceededError,
     ExperimentConfig,
     _binomial_stderr,
+    _draw_frames,
     merge_results,
     run_experiment,
     sample_generator,
     summary_json,
 )
+from bellframes.optimizer import _batch_frames, _random_kind_size, make_candidate_set
 
 
 def small_config(**overrides):
@@ -40,11 +46,88 @@ def test_sample_streams_are_private_to_index():
     assert not np.array_equal(g1, g3)
 
 
+def test_sample_stream_key_is_the_sha256_rule():
+    digest = hashlib.sha256(b"bellframes:17:5").digest()
+    key = int.from_bytes(digest[:16], "little")
+    want = np.random.Generator(np.random.Philox(key=key)).standard_normal(8)
+    assert np.array_equal(sample_generator(17, 5).standard_normal(8), want)
+
+
 def test_thread_count_does_not_change_output():
     serial = run_experiment(small_config())
     threaded = run_experiment(small_config(), threads=4)
     assert np.array_equal(serial.values, threaded.values)
     assert serial.histogram == threaded.histogram
+
+
+def test_thread_count_does_not_change_multi_batch_output():
+    # Three batches (297 frames each for random:7 at n = 3), each drawn on
+    # its own generator while the others run.
+    assert 2 * _batch_frames(7, 3, True) < 600
+    config = small_config(candidates="random:7", samples=600)
+    runs = [run_experiment(config, threads=t).values for t in (1, 2, 3)]
+    assert all(np.array_equal(runs[0], other) for other in runs[1:])
+
+
+def draw_batch(config):
+    """``_draw_frames`` for all of ``config``'s samples, with the kind's size."""
+    k = _random_kind_size(config.candidates)
+    fixed = None if k else make_candidate_set(config.candidates)
+    m = k or fixed.size
+    indices = np.arange(config.sample_offset, config.sample_offset + config.samples)
+    return m, indices, _draw_frames(config, m, indices, fixed)
+
+
+def assert_equal_to_replay(config, m, indices, quats, base):
+    for b, s in enumerate(indices):
+        want_quats, want_base = sample_frames(config, m, int(s))
+        assert np.array_equal(quats[b], want_quats)
+        assert np.array_equal(base if base.ndim == 2 else base[b], want_base)
+
+
+@pytest.mark.parametrize("measure, kind", [
+    ("haar", "pauli"),
+    ("haar", "tetrahedron"),
+    ("haar", "random:3"),
+    ("haar", "random:7"),
+    ("uniform-angle", "tetrahedron-z"),
+    ("uniform-angle", "random:3"),
+])
+def test_batch_draws_equal_scalar_replay(measure, kind):
+    config = small_config(candidates=kind, samples=40, sample_offset=1234,
+                          frame_measure=measure)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, indices, (quats, base) = draw_batch(config)
+    assert quats.shape == (40, 3, 4)
+    assert_equal_to_replay(config, m, indices, quats, base)
+
+
+@pytest.mark.parametrize("measure, kind, block", [
+    ("haar", "pauli", (4, 1)),                # sample 4, party 1's quaternion
+    ("uniform-angle", "random:3", (4, 0, 1)),  # sample 4, party 0's second direction
+])
+def test_zero_norm_sample_is_redrawn_on_the_scalar_path(monkeypatch, measure, kind, block):
+    config = small_config(candidates=kind, samples=6, frame_measure=measure)
+    normalize = montecarlo._normalize
+
+    def normalize_with_zero_block(v):
+        v[block] = 0.0
+        return normalize(v)
+
+    redrawn = []
+
+    def spy_generator(seed, s):
+        redrawn.append(s)
+        return sample_generator(seed, s)
+
+    monkeypatch.setattr(montecarlo, "_normalize", normalize_with_zero_block)
+    monkeypatch.setattr(montecarlo, "sample_generator", spy_generator)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, indices, (quats, base) = draw_batch(config)
+    assert redrawn == [int(indices[4])]
+    assert_equal_to_replay(config, m, indices, quats, base)
 
 
 def test_merge_of_halves_equals_full_run():
