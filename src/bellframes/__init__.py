@@ -54,43 +54,3 @@ from .montecarlo import (
 from . import restricted
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Rotation",
-    "ghz_correlator",
-    "ghz_statevector",
-    "haar_rotation",
-    "observable_matrix",
-    "rotate_direction",
-    "rotate_directions",
-    "statevector_expectation",
-    "uniform_angle_rotation",
-    "FAMILIES",
-    "FAMILY_MERMIN",
-    "FAMILY_MK",
-    "FAMILY_SVETLICHNY",
-    "BellPolynomial",
-    "BoundsTable",
-    "bounds_table",
-    "lhv_deterministic_max",
-    "make_polynomial",
-    "mermin_polynomial",
-    "mk_polynomial",
-    "prime_swap",
-    "svetlichny_polynomial",
-    "CandidateSet",
-    "OptimizationOutcome",
-    "assignment_count",
-    "inplane_candidate_set",
-    "make_candidate_set",
-    "max_bell_value",
-    "BoundCrossing",
-    "BudgetExceededError",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "merge_results",
-    "run_experiment",
-    "write_histogram_csv",
-    "write_summary_json",
-    "restricted",
-]

@@ -8,9 +8,11 @@ byte-identical output files; ``--threads`` only changes runtime. Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +21,7 @@ import numpy as np
 from . import polynomials, restricted, su2
 from .montecarlo import (
     BudgetExceededError,
+    DEFAULT_BIN_WIDTH,
     DEFAULT_BUDGET,
     ExperimentConfig,
     _fmt_float,
@@ -26,20 +29,12 @@ from .montecarlo import (
     write_histogram_csv,
     write_summary_json,
 )
-from .optimizer import inplane_candidate_set, max_bell_value, make_candidate_set
-from .polynomials import FAMILIES, bounds_table, make_polynomial
+from .optimizer import FIXED_KINDS, inplane_candidate_set, max_bell_value, make_candidate_set
+from .polynomials import FAMILIES, MAX_PARTIES, bounds_table, make_polynomial
 
 _COUNTEREXAMPLE_TILT = math.atan(math.sqrt(2.0))
 _COUNTEREXAMPLE_X_ANGLE = 3.0 * math.pi / 10.0
 _STATEVECTOR_SEED = 20_260_808
-
-
-def _sign_flag(value: str) -> bool:
-    if value == "on":
-        return True
-    if value == "off":
-        return False
-    raise argparse.ArgumentTypeError("expected 'on' or 'off'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -50,33 +45,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sample = sub.add_parser("sample", help="estimate the Bell-value distribution")
+    sample.set_defaults(run=cmd_sample)
     sample.add_argument("--n", type=int, required=True, choices=range(2, 6))
     sample.add_argument("--family", required=True, choices=FAMILIES)
     sample.add_argument("--candidates", required=True,
-                        help="pauli, tetrahedron, tetrahedron-z, or random:K")
+                        help=", ".join(FIXED_KINDS) + ", or random:K")
     sample.add_argument("--samples", type=int, required=True)
     sample.add_argument("--seed", type=int, default=0)
     sample.add_argument("--out", required=True, help="output directory")
-    sample.add_argument("--sign-flips", type=_sign_flag, default=True,
-                        metavar="{on,off}")
-    sample.add_argument("--bin-width", type=float, default=0.01)
+    sample.add_argument("--sign-flips", choices=("on", "off"), default="on")
+    sample.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH)
     sample.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="cap on samples x assignments")
     sample.add_argument("--threads", type=int, default=os.cpu_count() or 1)
 
     sweep = sub.add_parser("sweep", help="shared-axis rotation sweep")
-    sweep.add_argument("--n", type=int, required=True, choices=range(2, 9))
+    sweep.set_defaults(run=cmd_sweep)
+    sweep.add_argument("--n", type=int, required=True, choices=range(2, MAX_PARTIES + 1))
     sweep.add_argument("--family", required=True, choices=FAMILIES)
     sweep.add_argument("--grid", type=int, required=True,
                        help="number of total-angle grid points over [0, 2pi)")
     sweep.add_argument("--out", required=True, help="output directory")
 
     verify = sub.add_parser("verify", help="run the cross-module check suite")
+    verify.set_defaults(run=cmd_verify)
     verify.add_argument("--quick", action="store_true",
                         help="reduced oracle case counts")
 
     bounds = sub.add_parser("bounds", help="print violation thresholds as JSON")
-    bounds.add_argument("--n", type=int, required=True, choices=range(2, 9))
+    bounds.set_defaults(run=cmd_bounds)
+    bounds.add_argument("--n", type=int, required=True, choices=range(2, MAX_PARTIES + 1))
     bounds.add_argument("--family", required=True, choices=FAMILIES)
     bounds.add_argument("--out", help="also write bounds.json to this directory")
     return parser
@@ -91,7 +89,7 @@ def cmd_sample(args) -> int:
             samples=args.samples,
             seed=args.seed,
             bin_width=args.bin_width,
-            sign_flips=args.sign_flips,
+            sign_flips=args.sign_flips == "on",
             budget=args.budget,
         )
         result = run_experiment(config, threads=max(1, args.threads))
@@ -109,11 +107,7 @@ def cmd_sample(args) -> int:
 
 def cmd_sweep(args) -> int:
     candidates = inplane_candidate_set([0.0, math.pi / 2.0])
-    try:
-        poly = make_polynomial(args.family, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    poly = make_polynomial(args.family, args.n)
     if args.grid < 1:
         print("error: grid must be >= 1", file=sys.stderr)
         return 2
@@ -190,8 +184,33 @@ def check_statevector_oracle(cases: int = 10_000):
             f"max |diff| = {max_err:.2e}")
 
 
+def _half_sum(*term_lists):
+    """``(sum of the term lists) / 2``, exact, as a sorted term tuple without zeros."""
+    total = defaultdict(Fraction)
+    for mask, c in itertools.chain(*term_lists):
+        total[mask] += c / 2
+    return tuple(sorted((mask, c) for mask, c in total.items() if c))
+
+
+def _mk_recursion(n):
+    """MK_n from MK_1 = a_1 and the two-channel recursion
+    ``MK_k = (MK_{k-1} (a_k + a'_k) + MK'_{k-1} (a_k - a'_k)) / 2``,
+    where MK' (:func:`~bellframes.polynomials.prime_swap`) exchanges every
+    party's primed and unprimed settings."""
+    mk = polynomials.BellPolynomial(1, polynomials.FAMILY_MK, ((0, Fraction(1)),))
+    for k in range(1, n):
+        swapped = polynomials.prime_swap(mk).terms
+        terms = _half_sum(mk.terms, [(mask | 1 << k, c) for mask, c in mk.terms],
+                          swapped, [(mask | 1 << k, -c) for mask, c in swapped])
+        mk = polynomials.BellPolynomial(k + 1, polynomials.FAMILY_MK, terms)
+    return mk
+
+
 def check_polynomial_identities():
-    """Mermin = MK (odd n), Svetlichny = MK (even n), explicit CHSH and MK-3 terms."""
+    """Mermin = MK (odd n), Svetlichny = MK (even n), explicit CHSH and MK-3
+    terms, and two checks independent of :func:`make_polynomial`'s rule:
+    MK_n against its exact two-channel recursion (n = 2..8) and odd-n
+    Svetlichny against ``(MK_n + MK'_n) / 2`` (n = 3, 5, 7)."""
     odd = all(
         polynomials.mermin_polynomial(n).terms == polynomials.mk_polynomial(n).terms
         for n in (3, 5, 7)
@@ -203,9 +222,17 @@ def check_polynomial_identities():
     half = Fraction(1, 2)
     chsh = polynomials.mk_polynomial(2).terms == ((0, half), (1, half), (2, half), (3, -half))
     mk3 = polynomials.mk_polynomial(3).terms == ((1, half), (2, half), (4, half), (7, -half))
+    recursion = all(
+        polynomials.mk_polynomial(n).terms == _mk_recursion(n).terms for n in range(2, 9)
+    )
+    swap = all(
+        polynomials.svetlichny_polynomial(n).terms
+        == _half_sum(_mk_recursion(n).terms, polynomials.prime_swap(_mk_recursion(n)).terms)
+        for n in (3, 5, 7)
+    )
     return ("polynomial identities (mermin=mk odd, svetlichny=mk even, explicit term lists)",
-            odd and even and chsh and mk3,
-            f"odd={odd} even={even} chsh={chsh} mk3={mk3}")
+            odd and even and chsh and mk3 and recursion and swap,
+            f"odd={odd} even={even} chsh={chsh} mk3={mk3} recursion={recursion} swap={swap}")
 
 
 def check_counterexamples():
@@ -244,22 +271,15 @@ def verification_checks(quick: bool = False):
 def cmd_verify(args) -> int:
     checks = verification_checks(quick=args.quick)
     width = max(len(name) for name, _, _ in checks)
-    failed = 0
     for name, passed, detail in checks:
-        status = "PASS" if passed else "FAIL"
-        if not passed:
-            failed += 1
-        print(f"{status}  {name:<{width}}  {detail}")
+        print(f"{'PASS' if passed else 'FAIL'}  {name:<{width}}  {detail}")
+    failed = sum(not passed for _, passed, _ in checks)
     print(f"{len(checks) - failed}/{len(checks)} checks passed")
     return 0 if failed == 0 else 1
 
 
 def cmd_bounds(args) -> int:
-    try:
-        table = bounds_table(args.n, args.family)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    table = bounds_table(args.n, args.family)
     rows = ",\n".join(
         f'    {{"label": "{label}", "value": {_fmt_float(value)}}}'
         for label, value in table.thresholds
@@ -282,15 +302,8 @@ def cmd_bounds(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "sample":
-        return cmd_sample(args)
-    if args.command == "sweep":
-        return cmd_sweep(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_bounds(args)
+    args = build_parser().parse_args(argv)
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -63,6 +63,8 @@ from .su2 import check_unit_norms, haar_rotation, rotate_directions, uniform_ang
 CROSSING_TOL = 1e-12
 
 DEFAULT_BIN_WIDTH = 0.01
+# Histogram bins a run may ask for; finer widths are rejected before sampling.
+MAX_BINS = 10**6
 DEFAULT_BUDGET = 10**10
 
 FRAME_HAAR = "haar"
@@ -78,9 +80,9 @@ class BudgetExceededError(RuntimeError):
 class ExperimentConfig:
     """Configuration of one distribution-estimation run.
 
-    ``candidates`` is a kind name (``pauli``, ``tetrahedron``,
-    ``tetrahedron-z``, ``random:K``); random kinds are redrawn per sample,
-    fixed kinds are shared. ``sample_offset`` names the first global sample
+    ``candidates`` is a kind name (a key of ``optimizer.FIXED_KINDS`` or
+    ``random:K``); random kinds are redrawn per sample, fixed kinds are
+    shared. ``sample_offset`` names the first global sample
     index, letting disjoint ranges of one logical experiment run separately
     and merge exactly.
 
@@ -227,6 +229,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     per-sample streams make the output independent of the partitioning.
     """
     poly = make_polynomial(config.family, config.n)
+    if _bin_count(poly.algebraic_max(), config.bin_width) > MAX_BINS:
+        raise ValueError(f"bin width {config.bin_width!r} gives more than {MAX_BINS} bins")
     k = _random_kind_size(config.candidates)
     fixed_set = None if k else make_candidate_set(config.candidates)
     m = k or fixed_set.size
@@ -260,12 +264,16 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     return _build_result(config, indices, values, per_sample)
 
 
+def _bin_count(top: float, bin_width: float) -> int:
+    """Histogram bins of ``bin_width`` covering ``[0, top]``."""
+    return max(1, math.ceil(top / bin_width - 1e-9))
+
+
 def _build_result(config, indices, values, per_sample) -> ExperimentResult:
     table = bounds_table(config.n, config.family)
     samples = len(values)
 
-    top = table.threshold("AlgebraicMax")
-    nbins = max(1, math.ceil(top / config.bin_width - 1e-9))
+    nbins = _bin_count(table.threshold("AlgebraicMax"), config.bin_width)
     edges = np.arange(nbins + 1) * config.bin_width
     which = np.clip(np.digitize(values, edges) - 1, 0, nbins - 1)
     counts = np.bincount(which, minlength=nbins)

@@ -48,11 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polynomials import BellPolynomial
-from .su2 import _unit_normal_draw, check_unit_direction, rotate_directions
-
-KIND_PAULI = "pauli"
-KIND_TETRAHEDRON = "tetrahedron"
-KIND_TETRAHEDRON_Z = "tetrahedron-z"
+from .su2 import _unit_normal_draw, check_unit_norms, rotate_directions
 
 # Last-party values (frames x prefixes x 2m bases, float64) a scan step aims
 # to hold; a step takes at least one party-1 option, so it can hold more.
@@ -61,6 +57,31 @@ _SCAN_ENTRIES = 1 << 17
 # A scan step of a B-frame batch holds up to max(_SCAN_ENTRIES, B K^(n-2) 2m).
 _BATCH_ENTRIES = 1 << 21
 _ROW_SIGNS = np.array([1.0, -1.0, 1.0])
+
+_TETRA_Z_R = 2.0 * math.sqrt(2.0) / 3.0
+# Base directions of the fixed candidate kinds, as read-only (m, 3) arrays.
+FIXED_KINDS = {
+    # The coordinate axes: the sigma_x, sigma_y and sigma_z directions.
+    "pauli": np.eye(3),
+    # A regular tetrahedron: pairwise dot products -1/3.
+    "tetrahedron": np.array(
+        [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
+    ) / math.sqrt(3.0),
+    # Vertex-up: vertex 0 on +z, vertex 1 in the x-z plane with x > 0. Under
+    # Haar frames every orientation gives the same statistics; under other
+    # frame measures it does not. The paper's abstract does not fix the
+    # azimuth, so vertex 1 at azimuth 0 is an assumption of this package.
+    "tetrahedron-z": np.array(
+        [
+            [0.0, 0.0, 1.0],
+            [_TETRA_Z_R, 0.0, -1.0 / 3.0],
+            [-0.5 * _TETRA_Z_R, 0.5 * math.sqrt(3.0) * _TETRA_Z_R, -1.0 / 3.0],
+            [-0.5 * _TETRA_Z_R, -0.5 * math.sqrt(3.0) * _TETRA_Z_R, -1.0 / 3.0],
+        ]
+    ),
+}
+for _directions in FIXED_KINDS.values():
+    _directions.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,53 +92,16 @@ class CandidateSet:
     directions: np.ndarray
 
     def __post_init__(self):
-        d = check_unit_direction(self.directions, rows=True)
-        if d.shape[0] < 2:
-            raise ValueError("directions must have shape (m, 3) with m >= 2")
+        d = np.asarray(self.directions, dtype=float)
+        if d.ndim != 2 or d.shape[0] < 2 or d.shape[1] != 3:
+            raise ValueError(f"directions must have shape (m, 3) with m >= 2, got {d.shape}")
+        check_unit_norms(d, "direction")
         d.setflags(write=False)
         object.__setattr__(self, "directions", d)
 
     @property
     def size(self) -> int:
         return self.directions.shape[0]
-
-
-def pauli_candidate_set() -> CandidateSet:
-    """The three coordinate axes (sigma_x, sigma_y, sigma_z directions)."""
-    return CandidateSet(KIND_PAULI, np.eye(3))
-
-
-def tetrahedron_candidate_set() -> CandidateSet:
-    """Four directions with pairwise dot products -1/3 (regular tetrahedron)."""
-    v = np.array(
-        [
-            [1.0, 1.0, 1.0],
-            [1.0, -1.0, -1.0],
-            [-1.0, 1.0, -1.0],
-            [-1.0, -1.0, 1.0],
-        ]
-    ) / math.sqrt(3.0)
-    return CandidateSet(KIND_TETRAHEDRON, v)
-
-
-def tetrahedron_z_candidate_set() -> CandidateSet:
-    """A regular tetrahedron with vertex 0 on +z and vertex 1 in the x-z plane, x > 0.
-
-    Under Haar frames every orientation gives the same statistics; under
-    other frame measures it does not. The paper's abstract does not fix the
-    azimuth of the vertex-up tetrahedron, so putting vertex 1 at azimuth 0
-    is an assumption of this package.
-    """
-    r = 2.0 * math.sqrt(2.0) / 3.0
-    v = np.array(
-        [
-            [0.0, 0.0, 1.0],
-            [r, 0.0, -1.0 / 3.0],
-            [-0.5 * r, 0.5 * math.sqrt(3.0) * r, -1.0 / 3.0],
-            [-0.5 * r, -0.5 * math.sqrt(3.0) * r, -1.0 / 3.0],
-        ]
-    )
-    return CandidateSet(KIND_TETRAHEDRON_Z, v)
 
 
 def random_candidate_set(k: int, rng: np.random.Generator) -> CandidateSet:
@@ -134,17 +118,9 @@ def inplane_candidate_set(azimuths) -> CandidateSet:
 
 
 def make_candidate_set(kind: str, rng: np.random.Generator | None = None) -> CandidateSet:
-    """Build a candidate set from its name.
-
-    Kinds: ``pauli``, ``tetrahedron``, ``tetrahedron-z`` (vertex-up, see
-    :func:`tetrahedron_z_candidate_set`) or ``random:K``.
-    """
-    if kind == KIND_PAULI:
-        return pauli_candidate_set()
-    if kind == KIND_TETRAHEDRON:
-        return tetrahedron_candidate_set()
-    if kind == KIND_TETRAHEDRON_Z:
-        return tetrahedron_z_candidate_set()
+    """Build a candidate set from its name: a key of :data:`FIXED_KINDS` or ``random:K``."""
+    if kind in FIXED_KINDS:
+        return CandidateSet(kind, FIXED_KINDS[kind])
     k = _random_kind_size(kind)
     if k is not None:
         if rng is None:

@@ -88,7 +88,8 @@ class BellPolynomial:
         ``|g|`` is the GHZ quantum value (:mod:`bellframes.restricted`); the
         dyadic coefficients make the float sum exact.
         """
-        return sum(float(coeff) * (-1j) ** bin(mask).count("1") for mask, coeff in self.terms)
+        powers = (1, -1j, -1, 1j)  # (-i)^p for p = 0..3
+        return sum((float(c) * powers[mask.bit_count() % 4] for mask, c in self.terms), 0j)
 
     def coefficient_tensor(self) -> np.ndarray:
         """Dense coefficients with shape ``(2,)*n``; axis k indexes party k+1's prime bit."""

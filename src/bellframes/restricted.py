@@ -48,7 +48,7 @@ from __future__ import annotations
 import functools
 import math
 
-from .polynomials import FAMILIES, FAMILY_MERMIN, FAMILY_MK, make_polynomial
+from .polynomials import FAMILY_MERMIN, FAMILY_MK, _check_family, make_polynomial
 from .su2 import Rotation, X_AXIS, Y_AXIS
 
 STRATEGY_PRIMARY = "primary"
@@ -112,8 +112,7 @@ def strategy_settings(family: str, n: int, strategy: str):
     Signs are folded into the direction (``-sigma_x`` becomes ``-x``), so the
     closed forms can be checked through the exact correlator machinery.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}")
+    _check_family(family)
     _check_strategy(strategy)
     if strategy == STRATEGY_PRIMARY:
         return tuple((X_AXIS, Y_AXIS) for _ in range(n))

@@ -38,18 +38,12 @@ Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
-def check_unit_direction(direction, rows: bool = False) -> np.ndarray:
-    """Return ``direction`` as a float array, rejecting non-unit vectors.
-
-    With ``rows``, ``direction`` is an ``(m, 3)`` stack, checked row by row.
-    """
+def check_unit_direction(direction) -> np.ndarray:
+    """Return ``direction`` as a float array, rejecting non-unit vectors."""
     d = np.asarray(direction, dtype=float)
-    if d.shape[-1:] != (3,) or d.ndim != 1 + rows:
-        shape = "(m, 3)" if rows else "(3,)"
-        raise ValueError(f"direction must have shape {shape}, got {d.shape}")
-    if rows:
-        check_unit_norms(d, "direction")
-    elif abs(d @ d - 1.0) > 64 * UNIT_TOL:
+    if d.shape != (3,):
+        raise ValueError(f"direction must have shape (3,), got {d.shape}")
+    if abs(d @ d - 1.0) > 64 * UNIT_TOL:
         raise ValueError(f"direction is not unit-norm: |d|^2 = {d @ d!r}")
     return d
 
@@ -228,8 +222,6 @@ def statevector_expectation(rotations, observables) -> float:
     n = len(rotations)
     if len(observables) != n:
         raise ValueError("rotation and observable counts differ")
-    if not 1 <= n <= STATEVECTOR_MAX_PARTIES:
-        raise ValueError(f"party count {n} outside [1, {STATEVECTOR_MAX_PARTIES}]")
     psi = ghz_statevector(n)
     for k, rot in enumerate(rotations):
         psi = _apply_single_qubit(rot.matrix(), psi, k, n)

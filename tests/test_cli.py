@@ -79,6 +79,7 @@ def test_sample_rejects_bad_flags(tmp_path):
     ("--bin-width", "-1"),
     ("--bin-width", "nan"),
     ("--bin-width", "inf"),
+    ("--bin-width", "1e-6"),  # 2e6 bins, more than montecarlo.MAX_BINS
 ])
 def test_sample_bad_config_is_config_error(tmp_path, capsys, flag, value):
     # argparse keeps the last occurrence, so the appended flag overrides.
@@ -182,5 +183,5 @@ def test_sample_help_names_every_candidate_kind(capsys, monkeypatch):
         run_cli(["sample", "--help"])
     assert exc.value.code == 0
     text = capsys.readouterr().out
-    for kind in (opt.KIND_PAULI, opt.KIND_TETRAHEDRON, opt.KIND_TETRAHEDRON_Z, "random:K"):
+    for kind in [*opt.FIXED_KINDS, "random:K"]:
         assert re.search(rf"(?<![\w-]){re.escape(kind)}(?![\w-])", text), kind

@@ -79,6 +79,9 @@ def test_candidate_set_validates_directions():
         CandidateSet("bad", np.eye(3) * (1 + 5e-11))
     with pytest.raises(ValueError, match="m >= 2"):
         CandidateSet("one", np.eye(3)[:1])
+    for shape in [(3,), (2, 2), (2, 4)]:
+        with pytest.raises(ValueError, match=r"shape \(m, 3\)"):
+            CandidateSet("bad", np.ones(shape) / math.sqrt(shape[-1]))
 
 
 def test_assignment_counts():
