@@ -30,7 +30,9 @@ where ``a_i = Re(alpha w_i) [+ gamma z_i]`` and
 the prefix. The better sign scores ``|a_i| + |b_j|``, so the last party's
 ``K = 2 m (m-1)`` options collapse into one m x m table per prefix with the
 diagonal masked (``|a_i + b_j|`` without sign flips), and the scan needs
-only its largest entry.
+only its largest entry. Suffix and prefix maxima over the bases find it
+in O(m) passes rather than m(m-1): rounding is monotone, so ``a_i`` plus the
+largest ``b_j`` with ``j != i`` is row i's largest rounded entry.
 
 Assignments are ordered lexicographically (party, then base pair, then
 primed sign, + before -), and ties keep the earliest: the earliest
@@ -41,7 +43,6 @@ primed sign, + before -), and ties keep the earliest: the earliest
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -218,6 +219,42 @@ def _fold_parties(acc, tables):
     return acc
 
 
+def _largest_pair_entries(ab, flips):
+    """Per prefix, the largest off-diagonal entry of its m x m pair table.
+
+    ``ab`` (B, m, 2, P) holds ``a_i`` (``ab[:, i, 0]``) and ``b_j``
+    (``ab[:, j, 1]``) of every prefix and is left as it is; the (B, P)
+    result is ``max_{i != j} (|a_i| + |b_j|)`` with two primed signs per
+    base pair (``flips`` 2) and ``max_{i != j} |a_i + b_j|`` with one, the
+    larger of the ``(a, b)`` and ``(-a, -b)`` reductions. A reduction adds
+    ``excl[i] = max_{j != i} b_j``, built from suffix and prefix maxima,
+    to ``a_i`` and takes the largest row: O(m) passes over (B, P) arrays.
+    Rounding is monotone, so ``fl(a_i + excl[i])`` is row i's largest
+    rounded sum and the result equals the pairwise maximum bit for bit
+    (``np.abs`` makes a zero +0.0 without sign flips).
+    """
+    B, m, _, P = ab.shape
+    sides = np.empty((2, m, B, P))
+    a, b = sides
+    excl = np.empty((m, B, P))
+    best = None
+    for side in (np.abs,) if flips > 1 else (np.positive, np.negative):
+        side(ab.transpose(2, 1, 0, 3), out=sides)
+        # Suffix maxima first; then b[i] becomes the maximum of bases 0..i.
+        np.copyto(excl[m - 2], b[m - 1])
+        for i in range(m - 3, -1, -1):
+            np.maximum(excl[i + 1], b[i + 1], out=excl[i])
+        for i in range(1, m - 1):
+            np.maximum(excl[i], b[i - 1], out=excl[i])
+            np.maximum(b[i], b[i - 1], out=b[i])
+        np.copyto(excl[m - 1], b[m - 2])
+        side_best = np.add(excl, a, out=excl).max(axis=0)
+        best = side_best if best is None else np.maximum(best, side_best)
+    if flips == 1:
+        np.abs(best, out=best)
+    return best
+
+
 def bell_values_over_assignments(ctensor, W, Z, last):
     """Per-batch (best value, flat assignment index) over all combinations.
 
@@ -230,9 +267,9 @@ def bell_values_over_assignments(ctensor, W, Z, last):
     resolve to the smallest index.
 
     The last party is scored from ``last`` rather than from its option
-    tables (see the module docstring): a running maximum over the m(m-1)
-    off-diagonal pairs gives each prefix of parties 1..n-1 the largest entry
-    of its m x m pair table, and only the winning prefix's table is formed.
+    tables (see the module docstring): :func:`_largest_pair_entries` gives
+    each prefix of parties 1..n-1 the largest entry of its m x m pair table
+    in O(m) passes, and only the winning prefix's table is formed.
     The earliest (prefix, i, j) with the largest entry wins, with primed
     sign - exactly when ``a_i b_j < 0``. Party-1 options are scanned in
     groups holding at most ``_SCAN_ENTRIES`` last-party values (at least
@@ -259,24 +296,15 @@ def bell_values_over_assignments(ctensor, W, Z, last):
             parts.append(_fold_parties(ct @ Z[:, 0, :, o1], [Z[:, k] for k in range(1, n - 1)]))
         P = acc.shape[-1]
         ab = (rows @ np.stack(parts, axis=1).reshape(B, c, 2 * P)).reshape(B, m, 2, P)
-        # a[i], b[j]: base i unprimed, base j primed, copied (np.positive) or
-        # sized (np.abs, with sign flips) into contiguous (B, P) arrays.
-        a, b = (np.abs if flips > 1 else np.positive)(
-            ab.transpose(2, 1, 0, 3), out=np.empty((2, m, B, P))
-        )
-        per_prefix = np.full((B, P), -np.inf)
-        pair = np.empty((B, P))
-        for i, j in itertools.permutations(range(m), 2):
-            np.add(a[i], b[j], out=pair)
-            if flips == 1:
-                np.abs(pair, out=pair)
-            np.maximum(per_prefix, pair, out=per_prefix)
+        per_prefix = _largest_pair_entries(ab, flips)
         prefix = per_prefix.argmax(axis=1)
         chunk_best = per_prefix[frames, prefix]
         improved = chunk_best > best
         if not improved.any():
             continue
-        ai, bj = a[:, frames, prefix].T, b[:, frames, prefix].T
+        ai, bj = ab[frames, :, 0, prefix], ab[frames, :, 1, prefix]
+        if flips > 1:
+            ai, bj = np.abs(ai), np.abs(bj)
         table = ai[:, :, None] + bj[:, None, :]
         if flips == 1:
             table = np.abs(table)

@@ -101,6 +101,19 @@ def exhaustive_scan(ctensor, W, Z):
     return best, best_idx
 
 
+def pair_table_max(ab, flips):
+    """Reference for ``optimizer._largest_pair_entries``: one pass per pair.
+
+    ``ab`` (B, m, 2, P); the (B, P) maximum over ordered pairs ``i != j``
+    of ``|a_i| + |b_j|`` (``flips`` 2) or ``|a_i + b_j|`` (``flips`` 1).
+    """
+    best = np.full((ab.shape[0], ab.shape[3]), -np.inf)
+    for i, j in itertools.permutations(range(ab.shape[1]), 2):
+        a, b = ab[:, i, 0], ab[:, j, 1]
+        best = np.maximum(best, np.abs(a) + np.abs(b) if flips > 1 else np.abs(a + b))
+    return best
+
+
 def restricted_exact_value(poly, thetas, settings):
     """Bell value of explicit per-party settings under z-rotations, via su2."""
     from bellframes.restricted import z_rotation

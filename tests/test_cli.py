@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -54,6 +55,42 @@ def test_sample_byte_identical_reruns(tmp_path):
     assert run_cli(args + ["--out", str(out2), "--threads", "3"]) == 0
     assert (out1 / "hist.csv").read_bytes() == (out2 / "hist.csv").read_bytes()
     assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
+# sha256 of (hist.csv, summary.json) for small seeded runs: a rewrite of the
+# scan or the stream must keep every byte. The digests follow the float
+# rounding of the numpy/BLAS build.
+GOLDEN_SAMPLES = {
+    "mermin3-random7": (
+        ["--n", "3", "--family", "mermin", "--candidates", "random:7",
+         "--samples", "200", "--seed", "101"],
+        "175759d148a186cfc595b43aa63a30a2c3cd298f4295cda28e7b62b783b73628",
+        "fb02a7a2648ada70aef9ccbf071c0b4b6515b09a8f178604dc69baaef79fd09b"),
+    "mk4-tetrahedron": (
+        ["--n", "4", "--family", "mk", "--candidates", "tetrahedron",
+         "--samples", "300", "--seed", "102"],
+        "1a490b646c7de6bfc42d25a8c0bba39612510ba09a6246ade34754bf8d91d4a2",
+        "513f162e403b6c80afca0f7eda5b564ca433c6a18797e990af09e10e126ed464"),
+    "svetlichny5-random3": (
+        ["--n", "5", "--family", "svetlichny", "--candidates", "random:3",
+         "--samples", "100", "--seed", "103"],
+        "669abe8302fc4a9369d28e11cd8953dd3e6c7937e815af88f28357b72079e56a",
+        "6aed2c8717c965aceff5f705a5d33b36ef86fc22fd94fc69776bfd2164f7ce00"),
+    "mermin4-random4-no-flips": (
+        ["--n", "4", "--family", "mermin", "--candidates", "random:4",
+         "--samples", "200", "--seed", "104", "--sign-flips", "off"],
+        "480a5db59bd5d88ddac466a18b1f6de9c70000fcfbd254586d86af0b2cf97f16",
+        "f8da19babcc879d576b986914f575f4bd0f39a7c8abe5e4a750ba1024f9d0616"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_SAMPLES)
+def test_sample_outputs_match_pinned_digests(tmp_path, name):
+    args, hist_sha, summary_sha = GOLDEN_SAMPLES[name]
+    out = tmp_path / "run"
+    assert run_cli(["sample", *args, "--threads", "1", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "hist.csv").read_bytes()).hexdigest() == hist_sha
+    assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == summary_sha
 
 
 def test_sample_budget_overrun_is_config_error(tmp_path, capsys):

@@ -16,7 +16,14 @@ from bellframes.optimizer import (
     random_candidate_set,
     score_frames,
 )
-from oracles import brute_force_max, exhaustive_scan, option_rows, quat_multiply, uniform_sphere
+from oracles import (
+    brute_force_max,
+    exhaustive_scan,
+    option_rows,
+    pair_table_max,
+    quat_multiply,
+    uniform_sphere,
+)
 
 IDENT = su2.Rotation.identity()
 
@@ -234,6 +241,43 @@ def test_scan_matches_exhaustive(kind, n):
             ref_value, ref_index = exhaustive_scan(ctensor, W, Z)
             assert np.max(np.abs(value - ref_value)) <= 1e-12
             assert np.array_equal(index, ref_index), (case, sign_flips)
+
+
+def _pair_inputs(m):
+    """(name, ab) inputs of shape (B, m, 2, P) for the pair-table reduction."""
+    rng = np.random.default_rng(m)
+    ab = rng.standard_normal((3, m, 2, 5))
+    duplicated = ab.copy()
+    duplicated[:, 1:] = duplicated[:, :1]  # every base the same: ties in i and j
+    small = rng.integers(-2, 3, size=(3, m, 2, 5)).astype(float)  # many equal sums
+    tied = ab.copy()
+    tied[:, :, 1] = 0.5
+    tied[:, [0, m - 1], 1] = 2.0  # the largest b_j at two bases
+    mixed_zero = np.zeros((3, m, 2, 5))
+    mixed_zero[..., ::2] = -0.0
+    return [
+        ("random", ab),
+        ("duplicated", duplicated),
+        ("small integers", small),
+        ("equal maxima", tied),
+        ("+0.0", np.zeros((3, m, 2, 5))),
+        ("-0.0", np.full((3, m, 2, 5), -0.0)),
+        ("mixed zeros", mixed_zero),
+    ]
+
+
+@pytest.mark.parametrize("flips", [1, 2])
+@pytest.mark.parametrize("m", [2, 3, 4, 7])
+def test_largest_pair_entries_match_pair_loop(m, flips):
+    # Bytes, not np.array_equal: that calls -0.0 equal to +0.0, and the
+    # pair loop gives +0.0 for a prefix whose every entry is zero.
+    from bellframes.optimizer import _largest_pair_entries
+
+    for name, ab in _pair_inputs(m):
+        kept = ab.copy()
+        got = _largest_pair_entries(ab, flips)
+        assert got.tobytes() == pair_table_max(kept, flips).tobytes(), name
+        assert ab.tobytes() == kept.tobytes(), name  # the winner's signs are read from ab
 
 
 def test_monotone_in_candidate_directions():
