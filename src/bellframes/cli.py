@@ -29,7 +29,8 @@ from .montecarlo import (
     write_histogram_csv,
     write_summary_json,
 )
-from .optimizer import FIXED_KINDS, inplane_candidate_set, max_bell_value, make_candidate_set
+from .optimizer import (FIXED_KINDS, _batch_frames, inplane_candidate_set, make_candidate_set,
+                        max_bell_value, score_frames)
 from .polynomials import FAMILIES, MAX_PARTIES, bounds_table, make_polynomial
 
 _COUNTEREXAMPLE_TILT = math.atan(math.sqrt(2.0))
@@ -64,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n", type=int, required=True, choices=range(2, MAX_PARTIES + 1))
     sweep.add_argument("--family", required=True, choices=FAMILIES)
     sweep.add_argument("--grid", type=int, required=True,
-                       help="number of total-angle grid points over [0, 2pi)")
+                       help="number of total-angle grid points over [0, 2pi), "
+                            "scored in chunks sized to bound each scan step's memory")
     sweep.add_argument("--out", required=True, help="output directory")
 
     verify = sub.add_parser("verify", help="run the cross-module check suite")
@@ -111,22 +113,26 @@ def cmd_sweep(args) -> int:
     if args.grid < 1:
         print("error: grid must be >= 1", file=sys.stderr)
         return 2
+    thetas = [2.0 * math.pi * k / args.grid for k in range(args.grid)]
+    # Party 1 turns by theta about z (restricted.z_rotation); the others hold still.
+    quats = np.zeros((args.grid, args.n, 1, 4))
+    quats[:, :, 0, 0] = 1.0
+    quats[:, 0, 0, ::3] = [(math.cos(theta / 2.0), math.sin(theta / 2.0)) for theta in thetas]
+    dirs = su2.rotate_directions(quats, candidates.directions)
+    ctensor = poly.coefficient_tensor()
+    batch = _batch_frames(candidates.size, args.n, True)
+    best = np.concatenate([score_frames(ctensor, dirs[lo : lo + batch])[0]
+                           for lo in range(0, args.grid, batch)])
     lines = ["theta,primary,swapped,analytic_max,optimizer_max"]
-    for k in range(args.grid):
-        theta = 2.0 * math.pi * k / args.grid
+    for theta, optimizer_max in zip(thetas, best):
         primary = restricted.strategy_value(args.family, args.n, theta,
                                             restricted.STRATEGY_PRIMARY)
         swapped = restricted.strategy_value(args.family, args.n, theta,
                                             restricted.STRATEGY_SWAPPED)
-        rotations = [restricted.z_rotation(theta)] + [
-            su2.Rotation.identity() for _ in range(args.n - 1)
-        ]
-        outcome = max_bell_value(poly, rotations, candidates)
         lines.append(
             ",".join(
                 _fmt_float(x)
-                for x in (theta, primary, swapped, max(primary, swapped),
-                          outcome.bell_value)
+                for x in (theta, primary, swapped, max(primary, swapped), optimizer_max)
             )
         )
     out = Path(args.out)

@@ -9,8 +9,8 @@ unchanged. :func:`max_bell_value` finds the best of all ``(2 m (m-1))^n``
 reduced assignments.
 
 :func:`score_frames` is the one frame-scoring kernel, called by
-:func:`max_bell_value` and the Monte Carlo: it alone builds the per-party
-option tables from the effective directions and runs the scan.
+:func:`max_bell_value`, the Monte Carlo and the CLI sweep: it alone builds
+the per-party option tables from the effective directions and runs the scan.
 
 For unit Bloch directions the GHZ correlator of ``sigma . d_1, ...,
 sigma . d_n`` reduces to two per-party channels,
@@ -51,12 +51,10 @@ import numpy as np
 from .polynomials import BellPolynomial
 from .su2 import _unit_normal_draw, check_unit_norms, rotate_directions
 
-# Last-party values (frames x prefixes x 2m bases, float64) a scan step aims
-# to hold; a step takes at least one party-1 option, so it can hold more.
+# Bound on the last-party values (frames x prefixes x 2m bases, float64) of
+# one scan step of a _batch_frames chunk: max(_SCAN_ENTRIES, K^(n-2) 2m). A
+# frame whose single party-1 option holds more is scored alone, over it.
 _SCAN_ENTRIES = 1 << 17
-# Prefixes (frames x K^max(1, n-1)) per Monte Carlo batch, at least one frame.
-# A scan step of a B-frame batch holds up to max(_SCAN_ENTRIES, B K^(n-2) 2m).
-_BATCH_ENTRIES = 1 << 21
 _ROW_SIGNS = np.array([1.0, -1.0, 1.0])
 
 _TETRA_Z_R = 2.0 * math.sqrt(2.0) / 3.0
@@ -209,13 +207,15 @@ def _fold_parties(acc, tables):
 
     ``R`` runs over the bits of the parties not yet contracted, the next
     party's bit most significant; ``P`` runs over the contracted parties'
-    options, the newest least significant.
+    options, the newest least significant. The second product is added into
+    the first in place: the same sums, one temporary fewer at a step's peak.
     """
     for Wk in tables:
         b, r, p = acc.shape
         acc = acc.reshape(b, 2, r // 2, p, 1)
-        acc = acc[:, 0] * Wk[:, 0, None, None, :] + acc[:, 1] * Wk[:, 1, None, None, :]
-        acc = acc.reshape(b, r // 2, -1)
+        head = acc[:, 0] * Wk[:, 0, None, None, :]
+        head += acc[:, 1] * Wk[:, 1, None, None, :]
+        acc = head.reshape(b, r // 2, -1)
     return acc
 
 
@@ -320,8 +320,11 @@ def bell_values_over_assignments(ctensor, W, Z, last):
 
 
 def _batch_frames(m: int, n: int, sign_flips: bool) -> int:
-    """Frames per Monte Carlo batch for ``m`` base directions and ``n`` parties."""
-    return max(1, _BATCH_ENTRIES // assignment_count(m, max(1, n - 1), sign_flips))
+    """Frames per chunk scored by one :func:`score_frames` call, for ``m`` base
+    directions and ``n`` parties: one party-1 option of a chunk holds
+    ``K^(n-2) 2m`` last-party values per frame, at most ``_SCAN_ENTRIES`` in
+    all (at least one frame)."""
+    return max(1, _SCAN_ENTRIES // (assignment_count(m, n - 2, sign_flips) * 2 * m))
 
 
 def score_frames(ctensor, dirs, sign_flips: bool = True):

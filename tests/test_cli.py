@@ -9,6 +9,8 @@ import pytest
 from bellframes import cli
 from bellframes import optimizer as opt
 from bellframes import polynomials as bp
+from bellframes import restricted as rst
+from bellframes import su2
 
 
 def run_cli(args):
@@ -165,6 +167,65 @@ def test_sweep_svetlichny_minimum(tmp_path):
     assert len(rows) == 8
     analytic_max = np.array([float(r.split(",")[3]) for r in rows])
     assert abs(analytic_max.min() - 1.0) < 1e-10
+
+
+def sweep_column(tmp_path, family, n, grid):
+    """The ``optimizer_max`` column of a ``bellframes sweep`` run."""
+    out = tmp_path / f"sweep-{family}-{n}-{grid}"
+    assert run_cli(["sweep", "--n", str(n), "--family", family,
+                    "--grid", str(grid), "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    return np.array([float(row.split(",")[4]) for row in rows])
+
+
+def per_point_sweep(family, n, grid):
+    """``optimizer_max`` scored one grid point at a time by ``max_bell_value``."""
+    poly = bp.make_polynomial(family, n)
+    candidates = opt.inplane_candidate_set([0.0, math.pi / 2.0])
+    rest = [su2.Rotation.identity()] * (n - 1)
+    return np.array([
+        opt.max_bell_value(poly, [rst.z_rotation(2.0 * math.pi * k / grid)] + rest,
+                           candidates).bell_value
+        for k in range(grid)
+    ])
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("family", bp.FAMILIES)
+def test_batched_sweep_equals_per_point_scan(tmp_path, monkeypatch, family, n, bounded):
+    grid = 22
+    if bounded:
+        # A bound of five frames' party-1 option: chunks of 5, 5, 5, 5 and 2
+        # frames, the last scanned two party-1 options per step.
+        monkeypatch.setattr(opt, "_SCAN_ENTRIES", 5 * opt.assignment_count(2, n - 2) * 2 * 2)
+    chunks = []
+    score = opt.score_frames
+    monkeypatch.setattr(cli, "score_frames",
+                        lambda ctensor, dirs: chunks.append(len(dirs)) or score(ctensor, dirs))
+    assert sweep_column(tmp_path, family, n, grid).tobytes() == \
+        per_point_sweep(family, n, grid).tobytes()
+    assert sum(chunks) == grid
+    if bounded:
+        assert chunks == [5, 5, 5, 5, 2]
+
+
+# sha256 of sweep.csv, pinned from the per-point scan that preceded the
+# batched sweep; the same float-rounding caveat as the sample digests holds.
+GOLDEN_SWEEPS = {
+    ("svetlichny", 3, 1000): "881ece48fb7d4d3adb62142ce23088106786fcc3a1aa3ea598a2c4c1b8e14036",
+    ("mermin", 5, 200): "515e57afc2f6be3b8984b0057a5a981d26f47738374524e40c5885825659b54e",
+    ("mk", 8, 64): "73e1abd759b1b5fd527f0c69a07929daad731a7e61b04a65cf1b4797ed22dd10",
+}
+
+
+@pytest.mark.parametrize("family, n, grid", GOLDEN_SWEEPS)
+def test_sweep_output_matches_pinned_digest(tmp_path, family, n, grid):
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep", "--n", str(n), "--family", family,
+                    "--grid", str(grid), "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == GOLDEN_SWEEPS[family, n, grid]
 
 
 def test_verify_quick_passes(capsys):

@@ -61,8 +61,8 @@ def test_thread_count_does_not_change_output():
 
 
 def test_thread_count_does_not_change_multi_batch_output():
-    # Three batches (297 frames each for random:7 at n = 3), each drawn on
-    # its own generator while the others run.
+    # Six batches (111 frames each for random:7 at n = 3, the last one
+    # ragged), each drawn on its own generator while the others run.
     assert 2 * _batch_frames(7, 3, True) < 600
     config = small_config(candidates="random:7", samples=600)
     runs = [run_experiment(config, threads=t).values for t in (1, 2, 3)]

@@ -1,6 +1,8 @@
-"""Property tests of the Monte Carlo summary and merge (need hypothesis)."""
+"""Property tests of the Monte Carlo summary and merge and of the frame
+score's GHZ symmetry (need hypothesis)."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +18,9 @@ from bellframes.montecarlo import (  # noqa: E402
     run_experiment,
     summary_json,
 )
+from bellframes.optimizer import make_candidate_set, score_frames  # noqa: E402
+from bellframes.polynomials import make_polynomial  # noqa: E402
+from bellframes.su2 import rotate_directions  # noqa: E402
 
 # Property tests draw the same examples on every run, so tier-1 stays steady.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -81,3 +86,30 @@ def test_merge_of_disjoint_ranges_equals_single_run(config, data):
         full.lhv_violation_prob, full.lhv_stderr)
     assert (merged.mean, merged.min, merged.max) == (full.mean, full.min, full.max)
     assert summary_json(merged) == summary_json(full)
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 4),
+    family=st.sampled_from(["mermin", "mk", "svetlichny"]),
+    kind=st.sampled_from(["pauli", "tetrahedron", "random:3"]),
+    sign_flips=st.booleans(),
+    seed=st.integers(0, 2**32),
+    phis=st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3),
+)
+def test_ghz_phase_rotations_summing_to_zero_keep_every_frame_best(
+        n, family, kind, sign_flips, seed, phis):
+    # prod_k Rz(phi_k) with sum_k phi_k = 0 leaves |0..0> + |1..1> as it is,
+    # so composing it into every frame changes no Bell value beyond roundoff.
+    rng = np.random.default_rng(seed)
+    base = make_candidate_set(kind, rng).directions
+    quats = rng.standard_normal((4, n, 1, 4))
+    quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+    dirs = rotate_directions(quats, base)
+    phi = np.array(phis[: n - 1] + [-sum(phis[: n - 1])])
+    rz = np.zeros((n, 1, 4))
+    rz[:, 0, 0], rz[:, 0, 3] = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    ctensor = make_polynomial(family, n).coefficient_tensor()
+    best, _ = score_frames(ctensor, dirs, sign_flips)
+    turned, _ = score_frames(ctensor, rotate_directions(rz, dirs), sign_flips)
+    assert np.max(np.abs(turned - best)) <= 1e-12

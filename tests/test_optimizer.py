@@ -6,7 +6,9 @@ import pytest
 from bellframes import polynomials as bp
 from bellframes import su2
 from bellframes.optimizer import (
+    _SCAN_ENTRIES,
     CandidateSet,
+    _batch_frames,
     _party_options,
     assignment_count,
     effective_directions,
@@ -96,6 +98,19 @@ def test_assignment_counts():
     assert assignment_count(4, 3) == 13824
     assert assignment_count(3, 5) == 248832
     assert assignment_count(3, 2, sign_flips=False) == 36
+
+
+@pytest.mark.parametrize("sign_flips", [True, False])
+@pytest.mark.parametrize("m", [2, 3, 4, 7])
+def test_batch_frames_bound_one_party1_option_to_scan_entries(m, sign_flips):
+    for n in range(2, 9):
+        # Last-party values of one party-1 option of one frame.
+        per_frame = assignment_count(m, n - 2, sign_flips) * 2 * m
+        batch = _batch_frames(m, n, sign_flips)
+        if per_frame <= _SCAN_ENTRIES:
+            assert batch * per_frame <= _SCAN_ENTRIES < (batch + 1) * per_frame
+        else:
+            assert batch == 1
 
 
 @pytest.mark.parametrize("sign_flips", [True, False])
