@@ -19,25 +19,30 @@ sigma . d_n`` reduces to two per-party channels,
     E = prod_k d_k[2] + Re prod_k (d_k[0] + i d_k[1])   (n even),
 
 so the Bell sum is a contraction of the polynomial's dense coefficient
-tensor with per-party option tables. The scan contracts parties 1..n-1 over
-all their options (prefixes). The sum is linear in the last party's two
-settings. Let ``w = d[0] + i d[1]`` and ``z = d[2]`` for its base
-directions, and ``alpha``, ``beta`` (``gamma``, ``delta``) be the prefix's
-coefficients of its unprimed and primed transverse (z) channels. Then base
-``i`` unprimed and base ``j`` primed with sign ``s`` give ``a_i + s b_j``,
-where ``a_i = Re(alpha w_i) [+ gamma z_i]`` and
-``b_j = Re(beta w_j) [+ delta z_j]`` are one real matrix product away from
-the prefix. The better sign scores ``|a_i| + |b_j|``, so the last party's
-``K = 2 m (m-1)`` options collapse into one m x m table per prefix with the
-diagonal masked (``|a_i + b_j|`` without sign flips), and the scan needs
-only its largest entry. Suffix and prefix maxima over the bases find it
-in O(m) passes rather than m(m-1): rounding is monotone, so ``a_i`` plus the
-largest ``b_j`` with ``j != i`` is row i's largest rounded entry.
+tensor with per-party option tables. A party's options are three columns
+(unprimed base, primed base, primed sign), the unprimed sign being the
+reduction's +, and only even n builds a z-channel table. The scan
+contracts parties 1..n-1 over all their options (prefixes). The sum is
+linear in the last party's two settings. Let ``w = d[0] + i d[1]`` and
+``z = d[2]`` for its base directions, and ``alpha``, ``beta`` (``gamma``,
+``delta``) be the prefix's coefficients of its unprimed and primed
+transverse (z) channels. Then base ``i`` unprimed and base ``j`` primed
+with sign ``s`` give ``a_i + s b_j``, where
+``a_i = Re(alpha w_i) [+ gamma z_i]`` and ``b_j = Re(beta w_j) [+ delta z_j]``
+are one real matrix product away from the prefix. The better sign scores
+``|a_i| + |b_j|``, so the last party's ``K = 2 m (m-1)`` options collapse
+into one m x m table per prefix with the diagonal masked (``|a_i + b_j|``
+without sign flips), and the scan needs only its largest entry. Suffix and
+prefix maxima over the bases find it in O(m) passes rather than m(m-1):
+rounding is monotone, so ``a_i`` plus the largest ``b_j`` with ``j != i``
+is row i's largest rounded entry.
 
 Assignments are ordered lexicographically (party, then base pair, then
 primed sign, + before -), and ties keep the earliest: the earliest
 (prefix, i, j) with the largest table entry, primed sign + unless
-``a_i b_j < 0``. Results are deterministic.
+``a_i b_j < 0``. Each scan step keeps, per frame, only the best entry, its
+prefix and that prefix's ``a_i``, ``b_j``; the winner's (i, j, sign) is
+decoded once, after the last step. Results are deterministic.
 """
 
 from __future__ import annotations
@@ -151,22 +156,22 @@ def assignment_count(m: int, n: int, sign_flips: bool = True) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _party_options(m: int, sign_flips: bool):
-    """Per-party option table as (unprimed idx, primed idx, unprimed sign, primed sign).
+    """Per-party option table as (unprimed idx, primed idx, primed sign).
 
     Options are ordered lexicographically by (base pair, primed sign); signs
-    iterate + before -, and the unprimed sign is always + (the symmetry
-    reduction). Tables are cached and read-only.
+    iterate + before -. The unprimed sign is always + (the symmetry
+    reduction), so it has no column. Tables are cached and read-only.
     """
     primed_choices = (1.0, -1.0) if sign_flips else (1.0,)
     rows = [
-        (i, j, 1.0, sp)
+        (i, j, sp)
         for i in range(m)
         for j in range(m)
         if i != j
         for sp in primed_choices
     ]
     arr = np.array(rows)
-    table = (arr[:, 0].astype(int), arr[:, 1].astype(int), arr[:, 2], arr[:, 3])
+    table = (arr[:, 0].astype(int), arr[:, 1].astype(int), arr[:, 2])
     for column in table:
         column.setflags(write=False)
     return table
@@ -185,21 +190,19 @@ class OptimizationOutcome:
     evaluations: int
 
 
-def _channel_tables(directions, unprimed_idx, primed_idx, unprimed_sign, primed_sign):
+def _channel_tables(directions, unprimed_idx, primed_idx, primed_sign):
     """Option tables W (complex transverse) and Z (real z) of shape (..., n, 2, K).
 
     ``directions`` has shape ``(..., n, m, 3)`` holding each party's
-    effective (frame-conjugated) base directions.
+    effective (frame-conjugated) base directions. ``Z`` is ``None`` for odd
+    n, whose correlator has no z channel.
     """
     w = directions[..., 0] + 1j * directions[..., 1]
+    W = np.stack([w[..., unprimed_idx], primed_sign * w[..., primed_idx]], axis=-2)
+    if directions.shape[-3] % 2:
+        return W, None
     z = directions[..., 2]
-    W = np.stack(
-        [unprimed_sign * w[..., unprimed_idx], primed_sign * w[..., primed_idx]], axis=-2
-    )
-    Z = np.stack(
-        [unprimed_sign * z[..., unprimed_idx], primed_sign * z[..., primed_idx]], axis=-2
-    )
-    return W, Z
+    return W, np.stack([z[..., unprimed_idx], primed_sign * z[..., primed_idx]], axis=-2)
 
 
 def _fold_parties(acc, tables):
@@ -258,41 +261,43 @@ def _largest_pair_entries(ab, flips):
 def bell_values_over_assignments(ctensor, W, Z, last):
     """Per-batch (best value, flat assignment index) over all combinations.
 
-    ``ctensor`` is the dense (2,)*n coefficient tensor; ``W``/``Z`` have
-    shape (B, n, 2, K), built by :func:`_channel_tables` from a
-    :func:`_party_options` table (see :func:`score_frames`), and ``last``
-    (B, m, 3) holds the last party's effective base directions. The flat
-    index encodes the per-party option indices in base K, party 1 most
-    significant, matching the lexicographic enumeration order; ties
-    resolve to the smallest index.
+    ``ctensor`` is the dense (2,)*n coefficient tensor; ``W`` (and ``Z``,
+    ``None`` for odd n) have shape (B, n, 2, K), built by
+    :func:`_channel_tables` from a :func:`_party_options` table (see
+    :func:`score_frames`), and ``last`` (B, m, 3) holds the last party's
+    effective base directions. The flat index encodes the per-party option
+    indices in base K, party 1 most significant, matching the lexicographic
+    enumeration order; ties resolve to the smallest index.
 
     The last party is scored from ``last`` rather than from its option
     tables (see the module docstring): :func:`_largest_pair_entries` gives
     each prefix of parties 1..n-1 the largest entry of its m x m pair table
-    in O(m) passes, and only the winning prefix's table is formed.
-    The earliest (prefix, i, j) with the largest entry wins, with primed
-    sign - exactly when ``a_i b_j < 0``. Party-1 options are scanned in
-    groups holding at most ``_SCAN_ENTRIES`` last-party values (at least
-    one option per group).
+    in O(m) passes. Party-1 options are scanned in groups of
+    ``_batch_frames(...) // B`` (at least one option per group), the one
+    memory rule; each step keeps per frame only the best value, the
+    winning prefix and its ``a_i``, ``b_j``. After the loop the winner's
+    table is formed once: the earliest (i, j) with the largest entry wins,
+    with primed sign - exactly when ``a_i b_j < 0``.
     """
     B, n, _, K = W.shape
     m = last.shape[-2]
     flips = K // (m * (m - 1))  # primed-sign options per base pair: 1 or 2
     if flips * m * (m - 1) != K or flips not in (1, 2):
         raise ValueError(f"{K} options per party do not fit {m} base directions")
-    c = 3 if n % 2 == 0 else 2
+    c = 2 if Z is None else 3
     # a_i = Re(alpha w_i) [+ gamma z_i] = rows[i] . (Re alpha, Im alpha[, gamma]).
     rows = last[..., :c] * _ROW_SIGNS[:c]
     ct = ctensor.reshape(2, -1).T
-    group = max(1, min(K, _SCAN_ENTRIES // (B * K ** (n - 2) * 2 * m)))
+    group = max(1, min(K, _batch_frames(m, n, flips > 1) // B))
     frames = np.arange(B)
     best = np.full(B, -np.inf)
-    best_idx = np.zeros(B, dtype=np.int64)
+    best_prefix = np.zeros(B, dtype=np.int64)
+    best_ab = np.zeros((B, m, 2))
     for lo in range(0, K, group):
         o1 = slice(lo, lo + group)
         acc = _fold_parties(ct @ W[:, 0, :, o1], [W[:, k] for k in range(1, n - 1)])
         parts = [acc.real, acc.imag]
-        if c == 3:
+        if Z is not None:
             parts.append(_fold_parties(ct @ Z[:, 0, :, o1], [Z[:, k] for k in range(1, n - 1)]))
         P = acc.shape[-1]
         ab = (rows @ np.stack(parts, axis=1).reshape(B, c, 2 * P)).reshape(B, m, 2, P)
@@ -300,30 +305,28 @@ def bell_values_over_assignments(ctensor, W, Z, last):
         prefix = per_prefix.argmax(axis=1)
         chunk_best = per_prefix[frames, prefix]
         improved = chunk_best > best
-        if not improved.any():
-            continue
-        ai, bj = ab[frames, :, 0, prefix], ab[frames, :, 1, prefix]
-        if flips > 1:
-            ai, bj = np.abs(ai), np.abs(bj)
-        table = ai[:, :, None] + bj[:, None, :]
-        if flips == 1:
-            table = np.abs(table)
-        table.reshape(B, m * m)[:, :: m + 1] = -np.inf
-        i, j = np.divmod(table.reshape(B, m * m).argmax(axis=1), m)
-        digit = (i * (m - 1) + j - (j > i)) * flips
-        if flips > 1:
-            digit += ab[frames, i, 0, prefix] * ab[frames, j, 1, prefix] < 0.0
-        flat = (lo * K ** (n - 2) + prefix) * K + digit
-        best_idx[improved] = flat[improved]
         best[improved] = chunk_best[improved]
-    return best, best_idx
+        best_prefix[improved] = lo * K ** (n - 2) + prefix[improved]
+        best_ab[improved] = ab[frames, :, :, prefix][improved]
+    ai, bj = best_ab[:, :, 0], best_ab[:, :, 1]
+    if flips > 1:
+        ai, bj = np.abs(ai), np.abs(bj)
+    table = ai[:, :, None] + bj[:, None, :]
+    if flips == 1:
+        table = np.abs(table)
+    table.reshape(B, m * m)[:, :: m + 1] = -np.inf
+    i, j = np.divmod(table.reshape(B, m * m).argmax(axis=1), m)
+    digit = (i * (m - 1) + j - (j > i)) * flips
+    if flips > 1:
+        digit += best_ab[frames, i, 0] * best_ab[frames, j, 1] < 0.0
+    return best, best_prefix * K + digit
 
 
 def _batch_frames(m: int, n: int, sign_flips: bool) -> int:
     """Frames per chunk scored by one :func:`score_frames` call, for ``m`` base
     directions and ``n`` parties: one party-1 option of a chunk holds
     ``K^(n-2) 2m`` last-party values per frame, at most ``_SCAN_ENTRIES`` in
-    all (at least one frame)."""
+    all (at least one frame). The scan's party-1 groups follow the same rule."""
     return max(1, _SCAN_ENTRIES // (assignment_count(m, n - 2, sign_flips) * 2 * m))
 
 
@@ -362,7 +365,7 @@ def max_bell_value(
         raise ValueError(f"expected {n} rotations, got {len(rotations)}")
     dirs = effective_directions(rotations, candidates)
     best, best_idx = score_frames(polynomial.coefficient_tensor(), dirs[None], sign_flips)
-    uidx, pidx, _, psign = _party_options(candidates.size, sign_flips)
+    uidx, pidx, psign = _party_options(candidates.size, sign_flips)
     K = len(uidx)
     digits = np.unravel_index(int(best_idx[0]), (K,) * n)
     assignment = tuple((int(uidx[o]), int(pidx[o]), float(psign[o])) for o in digits)

@@ -66,15 +66,6 @@ def _check_strategy(strategy: str) -> None:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
-def expectation(theta_total: float, primed_count: int) -> float:
-    """Product expectation ``cos(Theta - p*pi/2)`` under the primary strategy.
-
-    ``theta_total`` is the total angle ``Theta``; ``primed_count`` is the
-    number of primed settings in the term.
-    """
-    return math.cos(float(theta_total) - primed_count * math.pi / 2.0)
-
-
 @functools.lru_cache(maxsize=None)
 def _phasor(family: str, n: int) -> complex:
     """:meth:`BellPolynomial.ghz_phasor`, cached: building a polynomial and its phasor

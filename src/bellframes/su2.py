@@ -38,25 +38,30 @@ Y_AXIS = np.array([0.0, 1.0, 0.0])
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
+def _check_unit_norm2(norm2, name: str) -> None:
+    """The unit-norm rule: reject ``|v|^2 = norm2`` unless it is within
+    ``64 UNIT_TOL`` of 1. Plain arithmetic, so :class:`Rotation`'s Python
+    float is checked without NumPy, and the message shows each caller's
+    value as it computed it."""
+    if abs(norm2 - 1.0) > 64 * UNIT_TOL:
+        raise ValueError(f"{name} is not unit-norm: |{name[0]}|^2 = {norm2!r}")
+
+
 def check_unit_direction(direction) -> np.ndarray:
     """Return ``direction`` as a float array, rejecting non-unit vectors."""
     d = np.asarray(direction, dtype=float)
     if d.shape != (3,):
         raise ValueError(f"direction must have shape (3,), got {d.shape}")
-    if abs(d @ d - 1.0) > 64 * UNIT_TOL:
-        raise ValueError(f"direction is not unit-norm: |d|^2 = {d @ d!r}")
+    _check_unit_norm2(d @ d, "direction")
     return d
 
 
 def check_unit_norms(vectors, name: str) -> None:
-    """Reject a stack ``(..., k)`` of vectors unless every ``|v|^2`` is
-    within ``64 UNIT_TOL`` of 1, the rule of :func:`check_unit_direction`
-    and :class:`Rotation`. The vector furthest from unit norm is reported.
+    """Reject a stack ``(..., k)`` of vectors unless every ``|v|^2`` passes
+    the unit-norm rule. The vector furthest from unit norm is reported.
     """
     norm2 = np.einsum("...i,...i->...", vectors, vectors).reshape(-1)
-    norm2 = norm2[np.argmax(abs(norm2 - 1.0))]
-    if abs(norm2 - 1.0) > 64 * UNIT_TOL:
-        raise ValueError(f"{name} is not unit-norm: |{name[0]}|^2 = {norm2!r}")
+    _check_unit_norm2(norm2[np.argmax(abs(norm2 - 1.0))], name)
 
 
 @dataclass(frozen=True)
@@ -69,9 +74,7 @@ class Rotation:
     q3: float
 
     def __post_init__(self):
-        norm2 = self.q0**2 + self.q1**2 + self.q2**2 + self.q3**2
-        if abs(norm2 - 1.0) > 64 * UNIT_TOL:
-            raise ValueError(f"quaternion is not unit-norm: |q|^2 = {norm2!r}")
+        _check_unit_norm2(self.q0**2 + self.q1**2 + self.q2**2 + self.q3**2, "quaternion")
 
     @classmethod
     def identity(cls) -> "Rotation":

@@ -1,6 +1,7 @@
 """Slow, independent reference implementations used to check the fast paths."""
 
 import itertools
+import math
 
 import numpy as np
 
@@ -43,12 +44,16 @@ def option_rows(m, sign_flips=True, unprimed_signs=False):
     ]
 
 
-def unreduced_options(m):
-    """The ``4 m (m-1)`` options with both signs of both settings, as the
-    columns ``optimizer._channel_tables`` takes (unprimed idx, primed idx,
-    unprimed sign, primed sign). Only :func:`exhaustive_scan` scores them."""
-    arr = np.array(option_rows(m, unprimed_signs=True))
-    return arr[:, 0].astype(int), arr[:, 1].astype(int), arr[:, 2], arr[:, 3]
+def unreduced_tables(directions):
+    """Signed option tables ``(W, Z)`` of shape (..., n, 2, 4 m (m-1)) for
+    ``directions`` (..., n, m, 3): every option with both signs of both
+    settings, in :func:`option_rows` order, laid out as
+    ``optimizer._channel_tables`` lays out the reduced ones (``Z`` at every
+    n). Only :func:`exhaustive_scan` scores them."""
+    rows = np.array(option_rows(directions.shape[-2], unprimed_signs=True))
+    idx, signs = rows[:, :2].astype(int).T, rows[:, 2:].T
+    w = directions[..., 0] + 1j * directions[..., 1]
+    return signs * w[..., idx], signs * directions[..., 2][..., idx]
 
 
 def brute_force_max(poly, rotations, directions, sign_flips=True, unprimed_signs=False):
@@ -112,6 +117,14 @@ def pair_table_max(ab, flips):
         a, b = ab[:, i, 0], ab[:, j, 1]
         best = np.maximum(best, np.abs(a) + np.abs(b) if flips > 1 else np.abs(a + b))
     return best
+
+
+def restricted_term_expectation(theta_total, primed_count):
+    """Product expectation ``cos(Theta - p*pi/2)`` of a term with ``p``
+    primed settings under the primary z-rotation strategy (``A = sigma_x``,
+    ``A' = sigma_y``), ``Theta`` the total angle: the per-term form that
+    ``restricted``'s GHZ phasor sums."""
+    return math.cos(float(theta_total) - primed_count * math.pi / 2.0)
 
 
 def restricted_exact_value(poly, thetas, settings):

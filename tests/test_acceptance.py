@@ -245,12 +245,11 @@ def test_c3d_restricted_grid_oracle_and_bounds():
 
 
 def test_c3e_symmetry_reduction_and_frame_covariance():
-    from bellframes.optimizer import _channel_tables, effective_directions, score_frames
-    from oracles import exhaustive_scan, quat_multiply, unreduced_options
+    from bellframes.optimizer import effective_directions, score_frames
+    from oracles import exhaustive_scan, quat_multiply, unreduced_tables
 
     rng = np.random.default_rng(SEED + 2)
     base = make_candidate_set("pauli")
-    full_options = unreduced_options(base.size)
 
     def scan(poly, per_party_dirs):
         values, _ = score_frames(poly.coefficient_tensor(), np.stack(per_party_dirs)[None])
@@ -259,8 +258,7 @@ def test_c3e_symmetry_reduction_and_frame_covariance():
     def full_scan(poly, per_party_dirs):
         # Every option scored as a contracted party: the scan folds the last
         # party's signs analytically, so the unreduced side must not use it.
-        eff = np.stack(per_party_dirs)[None, ...]
-        W, Z = _channel_tables(eff, *full_options)
+        W, Z = unreduced_tables(np.stack(per_party_dirs)[None, ...])
         values, _ = exhaustive_scan(poly.coefficient_tensor(), W, Z)
         return float(values[0])
 

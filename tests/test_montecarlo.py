@@ -17,6 +17,8 @@ from bellframes.montecarlo import (
     run_experiment,
     sample_generator,
     summary_json,
+    write_histogram_csv,
+    write_summary_json,
 )
 from bellframes.optimizer import _batch_frames, _random_kind_size, make_candidate_set
 
@@ -216,6 +218,40 @@ def test_uniform_angle_stream_contract():
         eff = np.stack([effective_directions([r], c)[0] for r, c in zip(rots, sets)])
         value, _ = score_frames(poly.coefficient_tensor(), eff[None])
         assert abs(value[0] - res.values[b]) < 1e-12
+
+
+# sha256 of (hist.csv, summary.json) under the paper's uniform-angle frame
+# measure, seed 2014: a rewrite of the stream or the scan must keep every
+# byte. The digests follow the float rounding of the numpy/BLAS build.
+GOLDEN_UNIFORM_ANGLE = {
+    "mermin3-pauli": (
+        dict(n=3, family="mermin", candidates="pauli", samples=2000),
+        "e900bb2f5c3b7008aea278b3339e27dfd9aac64d463bb3124311b1de10604503",
+        "4874a59bf1720582edd104892ee40b039318e90edea660063e742fae0b45dc2e"),
+    "mermin3-tetrahedron-z": (
+        dict(n=3, family="mermin", candidates="tetrahedron-z", samples=1000),
+        "2972f187ae07e51269a329748fc9e0635ead1819a087652bf208b59f649c1b54",
+        "cc4d33e85a91be3fa2a0108e6ce6759d1f467c304d944d8e8d3b955b92da9de3"),
+    "svetlichny3-random3": (
+        dict(n=3, family="svetlichny", candidates="random:3", samples=500),
+        "ea9a2e393ecc878b627e1f6047bf54d4f10025ae6896de9443ba11d0773abb59",
+        "e74c9e750cc8c30231cd56d8691f1d8753aae5b7049fd2cc0a0cd823b9235ba4"),
+    "mk4-tetrahedron": (
+        dict(n=4, family="mk", candidates="tetrahedron", samples=300),
+        "12ea5a2e6fcd2f287b885c801c25e8feaecd85a46652a8ff7c868e4d85994fea",
+        "98fcb46e98e3f9d94567d2be44e31b68910adc869c0848cff1924752f8f2c17b"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_UNIFORM_ANGLE)
+def test_uniform_angle_outputs_match_pinned_digests(tmp_path, name):
+    fields, hist_sha, summary_sha = GOLDEN_UNIFORM_ANGLE[name]
+    result = run_experiment(
+        ExperimentConfig(**fields, seed=2014, frame_measure="uniform-angle"))
+    write_histogram_csv(result, tmp_path / "hist.csv")
+    write_summary_json(result, tmp_path / "summary.json")
+    assert hashlib.sha256((tmp_path / "hist.csv").read_bytes()).hexdigest() == hist_sha
+    assert hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest() == summary_sha
 
 
 def test_histogram_counts_sum_to_samples():

@@ -113,3 +113,31 @@ def test_ghz_phase_rotations_summing_to_zero_keep_every_frame_best(
     best, _ = score_frames(ctensor, dirs, sign_flips)
     turned, _ = score_frames(ctensor, rotate_directions(rz, dirs), sign_flips)
     assert np.max(np.abs(turned - best)) <= 1e-12
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 4),
+    family=st.sampled_from(["mermin", "mk", "svetlichny"]),
+    kind=st.sampled_from(["pauli", "tetrahedron", "random:3", "random:4"]),
+    sign_flips=st.booleans(),
+    seed=st.integers(0, 2**32),
+    party=st.integers(0, 3),
+)
+def test_negating_one_partys_directions_keeps_every_frame_best_and_index(
+        n, family, kind, sign_flips, seed, party):
+    # Every term carries exactly one factor of each party and IEEE negation
+    # is exact, so negating one party's base directions negates every term
+    # and the scan's |sum| comparisons see the same values bit for bit.
+    rng = np.random.default_rng(seed)
+    base = make_candidate_set(kind, rng).directions
+    quats = rng.standard_normal((3, n, 1, 4))
+    quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+    dirs = rotate_directions(quats, base)
+    flipped = dirs.copy()
+    flipped[:, party % n] *= -1.0
+    ctensor = make_polynomial(family, n).coefficient_tensor()
+    best, index = score_frames(ctensor, dirs, sign_flips)
+    flipped_best, flipped_index = score_frames(ctensor, flipped, sign_flips)
+    assert flipped_best.tobytes() == best.tobytes()
+    assert np.array_equal(flipped_index, index)

@@ -120,8 +120,10 @@ def test_party_options_match_oracle_rows(m, sign_flips):
     columns = _party_options(m, sign_flips)
     rows = option_rows(m, sign_flips)
     assert len(rows) == assignment_count(m, 1, sign_flips)
+    # The unprimed sign is the reduction's constant +, so it has no column.
+    assert all(su == 1.0 for _, _, su, _ in rows)
     assert [tuple(map(float, row)) for row in zip(*columns)] == [
-        tuple(map(float, row)) for row in rows
+        (float(i), float(j), sp) for i, j, _, sp in rows
     ]
     assert all(i != j for i, j, _, _ in rows)
 
@@ -227,13 +229,16 @@ SCAN_CASES = [
 
 
 @pytest.mark.parametrize("kind,n", SCAN_CASES)
-def test_scan_matches_exhaustive(kind, n):
+def test_scan_matches_exhaustive(monkeypatch, kind, n):
     # The last-party pair table against scoring every option of every party:
     # same values and the same flat index (base K, earliest index on ties).
     # For Pauli candidates frame 0 is unrotated: every table entry is 0 or
     # +-1, so its many ties are exact and the tie rule decides them. The
     # tensor with only the all-unprimed term zeroes every primed value of
     # the last party, so its pairs tie exactly in j and in the primed sign.
+    # Each case is scanned twice: as sized, and bounded to one party-1
+    # option per step, so that ties are also decided across steps.
+    from bellframes import optimizer
     from bellframes.optimizer import _channel_tables, _party_options
 
     m = make_candidate_set(kind, np.random.default_rng(0)).size
@@ -251,11 +256,38 @@ def test_scan_matches_exhaustive(kind, n):
         for sign_flips in (True, False):
             if assignment_count(m, n, sign_flips) > ORACLE_ASSIGNMENTS:
                 continue
-            value, index = score_frames(ctensor, dirs, sign_flips)
             W, Z = _channel_tables(dirs, *_party_options(m, sign_flips))
             ref_value, ref_index = exhaustive_scan(ctensor, W, Z)
-            assert np.max(np.abs(value - ref_value)) <= 1e-12
-            assert np.array_equal(index, ref_index), (case, sign_flips)
+            for bounded in (False, True):
+                with monkeypatch.context() as patch:
+                    if bounded:
+                        patch.setattr(optimizer, "_SCAN_ENTRIES", 1)
+                    value, index = score_frames(ctensor, dirs, sign_flips)
+                assert np.max(np.abs(value - ref_value)) <= 1e-12
+                assert np.array_equal(index, ref_index), (case, sign_flips, bounded)
+
+
+@pytest.mark.parametrize("sign_flips", [True, False])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_score_frames_hands_the_scan_a_z_table_only_at_even_n(monkeypatch, n, sign_flips):
+    # perfbench/tracing.py counts frames, n and K from the shape of W.
+    from bellframes import optimizer
+
+    scan = optimizer.bell_values_over_assignments
+    shapes = []
+
+    def spy(ctensor, W, Z, last):
+        shapes.append((W.shape, None if Z is None else Z.shape))
+        return scan(ctensor, W, Z, last)
+
+    monkeypatch.setattr(optimizer, "bell_values_over_assignments", spy)
+    rng = np.random.default_rng(n)
+    dirs = effective_directions([su2.haar_rotation(rng) for _ in range(n)],
+                                make_candidate_set("pauli"))
+    score_frames(bp.mermin_polynomial(n).coefficient_tensor(), np.stack([dirs] * 2),
+                 sign_flips)
+    table = (2, n, 2, assignment_count(3, 1, sign_flips))
+    assert shapes == [(table, None if n % 2 else table)]
 
 
 def _pair_inputs(m):
@@ -346,10 +378,10 @@ def test_rotation_count_must_match():
 def test_scan_rejects_tables_it_cannot_fold():
     # The scan folds one or two primed signs per base pair; the unreduced
     # table (both unprimed signs too) is for the exhaustive reference only.
-    from bellframes.optimizer import _channel_tables, bell_values_over_assignments
-    from oracles import unreduced_options
+    from bellframes.optimizer import bell_values_over_assignments
+    from oracles import unreduced_tables
 
     dirs = effective_directions([IDENT] * 2, make_candidate_set("pauli"))[None]
-    W, Z = _channel_tables(dirs, *unreduced_options(3))
+    W, Z = unreduced_tables(dirs)
     with pytest.raises(ValueError, match="do not fit"):
         bell_values_over_assignments(bp.mk_polynomial(2).coefficient_tensor(), W, Z, dirs[:, -1])

