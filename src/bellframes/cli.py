@@ -29,8 +29,8 @@ from .montecarlo import (
     write_histogram_csv,
     write_summary_json,
 )
-from .optimizer import (FIXED_KINDS, _batch_frames, inplane_candidate_set, make_candidate_set,
-                        max_bell_value, score_frames)
+from .optimizer import (FIXED_KINDS, inplane_candidate_set, make_candidate_set, max_bell_value,
+                        score_frames)
 from .polynomials import FAMILIES, MAX_PARTIES, bounds_table, make_polynomial
 
 _COUNTEREXAMPLE_TILT = math.atan(math.sqrt(2.0))
@@ -119,10 +119,7 @@ def cmd_sweep(args) -> int:
     quats[:, :, 0, 0] = 1.0
     quats[:, 0, 0, ::3] = [(math.cos(theta / 2.0), math.sin(theta / 2.0)) for theta in thetas]
     dirs = su2.rotate_directions(quats, candidates.directions)
-    ctensor = poly.coefficient_tensor()
-    batch = _batch_frames(candidates.size, args.n, True)
-    best = np.concatenate([score_frames(ctensor, dirs[lo : lo + batch])[0]
-                           for lo in range(0, args.grid, batch)])
+    best, _ = score_frames(poly.coefficient_tensor(), dirs)
     lines = ["theta,primary,swapped,analytic_max,optimizer_max"]
     for theta, optimizer_max in zip(thetas, best):
         primary = restricted.strategy_value(args.family, args.n, theta,

@@ -22,11 +22,9 @@ order, then, for random candidate kinds only, each party's own candidate
 set in party order (three standard normals per direction; the parties'
 direction sets are independent because their local frames are). A Haar
 rotation takes four standard normals; a uniform-angle rotation takes three
-standard normals for its axis, then one ``random()`` for its angle. Haar is
-the default measure and its stream is unchanged from earlier versions, so
-default results keep their bits. Identical configs therefore produce
-bit-identical results regardless of batching, threading or sample
-partitioning.
+standard normals for its axis, then one ``random()`` for its angle.
+Identical configs therefore produce bit-identical results regardless of
+batching, threading or sample partitioning.
 
 Each batch re-keys one Philox generator of its own to every sample's stream
 and draws the sample's normals in one call (uniform-angle rotations first,
@@ -87,8 +85,7 @@ class ExperimentConfig:
     and merge exactly.
 
     ``frame_measure`` names the distribution of each party's frame rotation:
-    ``haar`` (the default; four standard normals per party, the stream this
-    package has always used, so default results are unchanged) or
+    ``haar`` (the default; four standard normals per party) or
     ``uniform-angle`` (a uniform axis from three standard normals, then a
     uniform angle from one ``random()``, per party in party order). Runs
     with different measures never merge.
@@ -348,8 +345,7 @@ def write_histogram_csv(result: ExperimentResult, path) -> None:
 def summary_json(result: ExperimentResult) -> str:
     """The summary document as canonical JSON text (fixed key order).
 
-    ``frame_measure`` follows ``sign_flips`` only for a non-default measure,
-    so Haar runs keep the document they have always had.
+    ``frame_measure`` follows ``sign_flips`` only for a non-default measure.
     """
     cfg = result.config
     measure = (

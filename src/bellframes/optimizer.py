@@ -10,7 +10,8 @@ reduced assignments.
 
 :func:`score_frames` is the one frame-scoring kernel, called by
 :func:`max_bell_value`, the Monte Carlo and the CLI sweep: it alone builds
-the per-party option tables from the effective directions and runs the scan.
+the per-party option tables from the effective directions and runs the scan,
+over any number of frames, in chunks that bound each scan step's memory.
 
 For unit Bloch directions the GHZ correlator of ``sigma . d_1, ...,
 sigma . d_n`` reduces to two per-party channels,
@@ -38,11 +39,12 @@ rounding is monotone, so ``a_i`` plus the largest ``b_j`` with ``j != i``
 is row i's largest rounded entry.
 
 Assignments are ordered lexicographically (party, then base pair, then
-primed sign, + before -), and ties keep the earliest: the earliest
-(prefix, i, j) with the largest table entry, primed sign + unless
-``a_i b_j < 0``. Each scan step keeps, per frame, only the best entry, its
-prefix and that prefix's ``a_i``, ``b_j``; the winner's (i, j, sign) is
-decoded once, after the last step. Results are deterministic.
+primed sign, + before -), and ties keep the earliest. Each scan step keeps,
+per frame, only the best entry, its prefix and that prefix's ``a_i``,
+``b_j``. The last party's digit is then read off the option table: the
+earliest ``(i, j, s)`` with the largest ``|a_i + s b_j|`` among those with
+``a_i s b_j >= 0`` under sign flips; it scores ``fl(|a_i| + |b_j|)`` bit
+for bit, the prefix's value. Results are deterministic.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from .polynomials import BellPolynomial
 from .su2 import _unit_normal_draw, check_unit_norms, rotate_directions
 
 # Bound on the last-party values (frames x prefixes x 2m bases, float64) of
-# one scan step of a _batch_frames chunk: max(_SCAN_ENTRIES, K^(n-2) 2m). A
-# frame whose single party-1 option holds more is scored alone, over it.
+# one scan step: max(_SCAN_ENTRIES, K^(n-2) 2m). A frame whose single
+# party-1 option holds more is scored alone, over it.
 _SCAN_ENTRIES = 1 << 17
 _ROW_SIGNS = np.array([1.0, -1.0, 1.0])
 
@@ -138,11 +140,13 @@ def _random_kind_size(kind: str) -> int | None:
     if not kind.startswith("random:"):
         return None
     try:
-        k = int(kind.split(":", 1)[1])
+        k = int(kind[len("random:"):])
     except ValueError:
-        raise ValueError(
-            f"candidate kind {kind!r}: the size after 'random:' must be an integer"
-        ) from None
+        k = None
+    # One spelling per kind: summary.json echoes it, and merges compare it.
+    if k is None or kind != f"random:{k}":
+        raise ValueError(f"candidate kind {kind!r}: the size after 'random:' must be an "
+                         "integer in plain digits")
     if k < 2:  # CandidateSet's rule, checked before run_experiment sizes batches from K
         raise ValueError("random candidate sets need at least 2 directions")
     return k
@@ -159,19 +163,13 @@ def _party_options(m: int, sign_flips: bool):
     """Per-party option table as (unprimed idx, primed idx, primed sign).
 
     Options are ordered lexicographically by (base pair, primed sign); signs
-    iterate + before -. The unprimed sign is always + (the symmetry
-    reduction), so it has no column. Tables are cached and read-only.
+    iterate + before -. The unprimed sign is + (the symmetry reduction), so
+    it has no column. Tables are cached and read-only.
     """
-    primed_choices = (1.0, -1.0) if sign_flips else (1.0,)
-    rows = [
-        (i, j, sp)
-        for i in range(m)
-        for j in range(m)
-        if i != j
-        for sp in primed_choices
-    ]
-    arr = np.array(rows)
-    table = (arr[:, 0].astype(int), arr[:, 1].astype(int), arr[:, 2])
+    signs = [1.0, -1.0] if sign_flips else [1.0]
+    unprimed, primed = np.nonzero(~np.eye(m, dtype=bool))
+    table = (np.repeat(unprimed, len(signs)), np.repeat(primed, len(signs)),
+             np.tile(signs, len(unprimed)))
     for column in table:
         column.setflags(write=False)
     return table
@@ -275,9 +273,10 @@ def bell_values_over_assignments(ctensor, W, Z, last):
     in O(m) passes. Party-1 options are scanned in groups of
     ``_batch_frames(...) // B`` (at least one option per group), the one
     memory rule; each step keeps per frame only the best value, the
-    winning prefix and its ``a_i``, ``b_j``. After the loop the winner's
-    table is formed once: the earliest (i, j) with the largest entry wins,
-    with primed sign - exactly when ``a_i b_j < 0``.
+    winning prefix and its ``a_i``, ``b_j``. After the loop the last
+    party's digit is the earliest option ``(i, j, s)`` of
+    :func:`_party_options` with the largest ``|a_i + s b_j|``, options with
+    ``a_i s b_j < 0`` excluded under sign flips.
     """
     B, n, _, K = W.shape
     m = last.shape[-2]
@@ -308,25 +307,20 @@ def bell_values_over_assignments(ctensor, W, Z, last):
         best[improved] = chunk_best[improved]
         best_prefix[improved] = lo * K ** (n - 2) + prefix[improved]
         best_ab[improved] = ab[frames, :, :, prefix][improved]
-    ai, bj = best_ab[:, :, 0], best_ab[:, :, 1]
+    uidx, pidx, psign = _party_options(m, flips > 1)
+    a = best_ab[:, uidx, 0]
+    b = psign * best_ab[:, pidx, 1]
+    score = np.abs(a + b)
     if flips > 1:
-        ai, bj = np.abs(ai), np.abs(bj)
-    table = ai[:, :, None] + bj[:, None, :]
-    if flips == 1:
-        table = np.abs(table)
-    table.reshape(B, m * m)[:, :: m + 1] = -np.inf
-    i, j = np.divmod(table.reshape(B, m * m).argmax(axis=1), m)
-    digit = (i * (m - 1) + j - (j > i)) * flips
-    if flips > 1:
-        digit += best_ab[frames, i, 0] * best_ab[frames, j, 1] < 0.0
-    return best, best_prefix * K + digit
+        score[a * b < 0.0] = -np.inf
+    return best, best_prefix * K + score.argmax(axis=1)
 
 
 def _batch_frames(m: int, n: int, sign_flips: bool) -> int:
-    """Frames per chunk scored by one :func:`score_frames` call, for ``m`` base
-    directions and ``n`` parties: one party-1 option of a chunk holds
-    ``K^(n-2) 2m`` last-party values per frame, at most ``_SCAN_ENTRIES`` in
-    all (at least one frame). The scan's party-1 groups follow the same rule."""
+    """Frames per scan call of :func:`score_frames`, for ``m`` base directions
+    and ``n`` parties: one party-1 option of a chunk holds ``K^(n-2) 2m``
+    last-party values per frame, at most ``_SCAN_ENTRIES`` in all (at least
+    one frame). The scan's party-1 groups follow the same rule."""
     return max(1, _SCAN_ENTRIES // (assignment_count(m, n - 2, sign_flips) * 2 * m))
 
 
@@ -334,12 +328,19 @@ def score_frames(ctensor, dirs, sign_flips: bool = True):
     """Per-frame (best value, flat assignment index) over all reduced assignments.
 
     ``dirs`` (B, n, m, 3) holds each frame's effective (frame-conjugated)
-    base directions per party. The flat index counts options of the table
+    base directions per party; any number of frames is scored, in chunks of
+    at most ``_batch_frames`` frames, each with its own option tables and
+    scan call. The flat index counts options of the table
     ``_party_options(m, sign_flips)`` (see :func:`bell_values_over_assignments`).
     """
-    options = _party_options(dirs.shape[-2], sign_flips)
-    W, Z = _channel_tables(dirs, *options)
-    return bell_values_over_assignments(ctensor, W, Z, dirs[:, -1])
+    _, n, m, _ = dirs.shape
+    options = _party_options(m, sign_flips)
+    batch = _batch_frames(m, n, sign_flips)
+    chunks = [dirs[lo : lo + batch] for lo in range(0, len(dirs), batch)]
+    best, index = zip(*(
+        bell_values_over_assignments(ctensor, *_channel_tables(chunk, *options), chunk[:, -1])
+        for chunk in chunks))
+    return np.concatenate(best), np.concatenate(index)
 
 
 def effective_directions(rotations, candidates: CandidateSet) -> np.ndarray:

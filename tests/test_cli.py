@@ -119,6 +119,8 @@ def test_sample_rejects_bad_flags(tmp_path):
     ("--bin-width", "nan"),
     ("--bin-width", "inf"),
     ("--bin-width", "1e-6"),  # 2e6 bins, more than montecarlo.MAX_BINS
+    # Would draw random:7's samples, but summary.json would echo this spelling.
+    ("--candidates", "random: 7"),
 ])
 def test_sample_bad_config_is_config_error(tmp_path, capsys, flag, value):
     # argparse keeps the last occurrence, so the appended flag overrides.
@@ -200,14 +202,15 @@ def test_batched_sweep_equals_per_point_scan(tmp_path, monkeypatch, family, n, b
         # frames, the last scanned two party-1 options per step.
         monkeypatch.setattr(opt, "_SCAN_ENTRIES", 5 * opt.assignment_count(2, n - 2) * 2 * 2)
     chunks = []
-    score = opt.score_frames
-    monkeypatch.setattr(cli, "score_frames",
-                        lambda ctensor, dirs: chunks.append(len(dirs)) or score(ctensor, dirs))
-    assert sweep_column(tmp_path, family, n, grid).tobytes() == \
-        per_point_sweep(family, n, grid).tobytes()
+    scan = opt.bell_values_over_assignments
+    monkeypatch.setattr(opt, "bell_values_over_assignments",
+                        lambda ctensor, W, Z, last:
+                        chunks.append(W.shape[0]) or scan(ctensor, W, Z, last))
+    swept = sweep_column(tmp_path, family, n, grid)
     assert sum(chunks) == grid
     if bounded:
         assert chunks == [5, 5, 5, 5, 2]
+    assert swept.tobytes() == per_point_sweep(family, n, grid).tobytes()
 
 
 # sha256 of sweep.csv, pinned from the per-point scan that preceded the

@@ -254,6 +254,50 @@ def test_uniform_angle_outputs_match_pinned_digests(tmp_path, name):
     assert hashlib.sha256((tmp_path / "summary.json").read_bytes()).hexdigest() == summary_sha
 
 
+# sha256 of every sample's value bytes, for the configs of the CLI's pinned
+# Haar runs and of the uniform-angle runs above. A last-bit change in the
+# scan or the stream rarely moves a histogram bin or a summary statistic,
+# but it changes these. The digests follow the float rounding of the
+# numpy/BLAS build.
+GOLDEN_VALUES = {
+    "haar-mermin3-random7": (
+        dict(n=3, family="mermin", candidates="random:7", samples=200, seed=101),
+        "769a04b3a241933f5548ee41e35ac3d36a94a9af05c92a179cc534b0063384d5"),
+    "haar-mk4-tetrahedron": (
+        dict(n=4, family="mk", candidates="tetrahedron", samples=300, seed=102),
+        "829f2e9cf8bd7842f3c7c79ac3502bb7278a371521f78f809dc449697601e839"),
+    "haar-svetlichny5-random3": (
+        dict(n=5, family="svetlichny", candidates="random:3", samples=100, seed=103),
+        "632336b6a1609882d58aac8f178bf0213a126dfe5174761d15cc0888cfff85ca"),
+    "haar-mermin4-random4-no-flips": (
+        dict(n=4, family="mermin", candidates="random:4", samples=200, seed=104,
+             sign_flips=False),
+        "a30a3bc8cf60a22d51b754f089a5b52a1f5afb21dde6cc42a7fcff538a5a5413"),
+    "uniform-angle-mermin3-pauli": (
+        dict(GOLDEN_UNIFORM_ANGLE["mermin3-pauli"][0], seed=2014, frame_measure="uniform-angle"),
+        "4eea7a618c124d2c2cb98764cee8f90d0e0203b8728aa7aeab295f9a83faf6f6"),
+    "uniform-angle-mermin3-tetrahedron-z": (
+        dict(GOLDEN_UNIFORM_ANGLE["mermin3-tetrahedron-z"][0], seed=2014,
+             frame_measure="uniform-angle"),
+        "a3c88387bce8cc0ac7b6e62dfbef28b094cfea0c51bc977714fb5d63ef2a9936"),
+    "uniform-angle-svetlichny3-random3": (
+        dict(GOLDEN_UNIFORM_ANGLE["svetlichny3-random3"][0], seed=2014,
+             frame_measure="uniform-angle"),
+        "2166231f805334b3ca0b0a1de1eaac32ac2e2eb6b1108821c821abd6233d84ed"),
+    "uniform-angle-mk4-tetrahedron": (
+        dict(GOLDEN_UNIFORM_ANGLE["mk4-tetrahedron"][0], seed=2014,
+             frame_measure="uniform-angle"),
+        "5019f96e87420fc6bac3f9c8ada74385e4a8b26f41826b770d6bd11c43c7f6b4"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_VALUES)
+def test_sample_values_match_pinned_digests(name):
+    fields, values_sha = GOLDEN_VALUES[name]
+    values = run_experiment(ExperimentConfig(**fields)).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == values_sha
+
+
 def test_histogram_counts_sum_to_samples():
     res = run_experiment(small_config(samples=500))
     assert sum(count for _, _, count in res.histogram) == 500
@@ -292,8 +336,9 @@ def test_invalid_config_rejected():
         ExperimentConfig(3, "mermin", "pauli", 10, 1, frame_measure="uniform")
     with pytest.raises(ValueError):
         run_experiment(small_config(candidates="cube"))
-    with pytest.raises(ValueError, match="must be an integer"):
-        run_experiment(small_config(candidates="random:x"))
+    for kind in ("random:x", "random: 7", "random:07", "random:+7", "random:1_0", "random:7\n"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            run_experiment(small_config(candidates=kind))
     with pytest.raises(ValueError):
         run_experiment(small_config(family="chsh"))
 

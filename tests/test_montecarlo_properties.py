@@ -1,5 +1,5 @@
 """Property tests of the Monte Carlo summary and merge and of the frame
-score's GHZ symmetry (need hypothesis)."""
+score's GHZ symmetries and frame covariance (need hypothesis)."""
 
 import json
 import math
@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import quat_multiply
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -141,3 +142,31 @@ def test_negating_one_partys_directions_keeps_every_frame_best_and_index(
     flipped_best, flipped_index = score_frames(ctensor, flipped, sign_flips)
     assert flipped_best.tobytes() == best.tobytes()
     assert np.array_equal(flipped_index, index)
+
+
+@pytest.mark.parametrize("kind", ["pauli", "tetrahedron", "random:3"])
+@pytest.mark.parametrize("family", ["mermin", "mk", "svetlichny"])
+@PROPERTY
+@given(n=st.integers(2, 4), sign_flips=st.booleans(), seed=st.integers(0, 2**32),
+       party=st.integers(0, 3))
+def test_extra_frame_rotation_undone_on_the_candidates_keeps_every_frame_best(
+        family, kind, n, sign_flips, seed, party):
+    # An extra rotation on party k's frame, with that party's candidates
+    # counter-rotated, leaves its effective directions as they were up to
+    # roundoff, so no frame's best value moves beyond it.
+    rng = np.random.default_rng(seed)
+    k = party % n
+    base = np.array([[make_candidate_set(kind, rng).directions for _ in range(n)]
+                     for _ in range(3)])
+    quats = rng.standard_normal((3, n, 4))
+    quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+    extra = rng.standard_normal((3, 4))
+    extra /= np.linalg.norm(extra, axis=-1, keepdims=True)
+    twisted = quats.copy()
+    twisted[:, k] = [quat_multiply(e, q).quaternion for e, q in zip(extra, quats[:, k])]
+    counter = base.copy()
+    counter[:, k] = rotate_directions(extra[:, None] * [1.0, -1.0, -1.0, -1.0], base[:, k])
+    ctensor = make_polynomial(family, n).coefficient_tensor()
+    best, _ = score_frames(ctensor, rotate_directions(quats[:, :, None], base), sign_flips)
+    moved, _ = score_frames(ctensor, rotate_directions(twisted[:, :, None], counter), sign_flips)
+    assert np.max(np.abs(moved - best)) <= 1e-12

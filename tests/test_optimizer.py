@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -28,6 +29,8 @@ from oracles import (
 )
 
 IDENT = su2.Rotation.identity()
+RANDOM_KIND_MISSPELLINGS = ("random:x", "random: 7", "random:07", "random:+7", "random:1_0",
+                            "random:7\n")
 
 
 def test_pauli_candidate_set():
@@ -76,8 +79,10 @@ def test_random_candidate_set_needs_two_directions():
 def test_make_candidate_set_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_candidate_set("cube")
-    with pytest.raises(ValueError, match="must be an integer"):
-        make_candidate_set("random:x", np.random.default_rng(0))
+    # Spellings int() accepts but that would not name the kind random:7 or random:10.
+    for kind in RANDOM_KIND_MISSPELLINGS:
+        with pytest.raises(ValueError, match="must be an integer"):
+            make_candidate_set(kind, np.random.default_rng(0))
 
 
 def test_candidate_set_validates_directions():
@@ -267,6 +272,40 @@ def test_scan_matches_exhaustive(monkeypatch, kind, n):
                 assert np.array_equal(index, ref_index), (case, sign_flips, bounded)
 
 
+# sha256 over score_frames' best bytes and int64 flat indices, for a seeded
+# frame set: 3 families x n = 2..5 x pauli, tetrahedron, random:3 and
+# random:7 (n <= 4 only) x sign flips on and off, scored with _SCAN_ENTRIES
+# at its default and at 64 (one party-1 option per step). Frame 0 is
+# unrotated, so the fixed kinds' exact ties are decided by the tie rule. The
+# digest follows the float rounding of the numpy/BLAS build.
+SCORE_FRAMES_DIGEST = "1b23639b9255399110bf4760bcab35d0b1c2c355780e4a01cf8951a5d71ecd20"
+
+
+def test_score_frames_matches_pinned_digest(monkeypatch):
+    from bellframes import optimizer
+
+    kinds = ("pauli", "tetrahedron", "random:3", "random:7")
+    digest = hashlib.sha256()
+    for entries in (_SCAN_ENTRIES, 64):
+        monkeypatch.setattr(optimizer, "_SCAN_ENTRIES", entries)
+        for family in bp.FAMILIES:
+            for n in range(2, 6):
+                ctensor = bp.make_polynomial(family, n).coefficient_tensor()
+                for kind in kinds[: 4 if n < 5 else 3]:
+                    rng = np.random.default_rng([n, kinds.index(kind)])
+                    base = np.array([[make_candidate_set(kind, rng).directions
+                                      for _ in range(n)] for _ in range(3)])
+                    quats = rng.standard_normal((3, n, 1, 4))
+                    quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+                    quats[0] = [1.0, 0.0, 0.0, 0.0]
+                    dirs = su2.rotate_directions(quats, base)
+                    for sign_flips in (True, False):
+                        best, index = score_frames(ctensor, dirs, sign_flips)
+                        digest.update(best.tobytes())
+                        digest.update(index.astype(np.int64).tobytes())
+    assert digest.hexdigest() == SCORE_FRAMES_DIGEST
+
+
 @pytest.mark.parametrize("sign_flips", [True, False])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_score_frames_hands_the_scan_a_z_table_only_at_even_n(monkeypatch, n, sign_flips):
@@ -288,6 +327,50 @@ def test_score_frames_hands_the_scan_a_z_table_only_at_even_n(monkeypatch, n, si
                  sign_flips)
     table = (2, n, 2, assignment_count(3, 1, sign_flips))
     assert shapes == [(table, None if n % 2 else table)]
+
+
+@pytest.mark.parametrize("sign_flips", [True, False])
+def test_score_frames_scans_at_most_a_batch_of_frames_per_call(monkeypatch, sign_flips):
+    # score_frames owns the batching rule: given more frames than
+    # _batch_frames, it hands the scan chunks of at most that many, and the
+    # result is that of scoring each chunk alone, bit for bit.
+    from bellframes import optimizer
+
+    monkeypatch.setattr(optimizer, "_SCAN_ENTRIES",
+                        2 * assignment_count(3, 1, sign_flips) * 2 * 3)
+    batch = optimizer._batch_frames(3, 3, sign_flips)
+    assert batch == 2
+    scan = optimizer.bell_values_over_assignments
+    chunks = []
+
+    def spy(ctensor, W, Z, last):
+        chunks.append(W.shape[0])
+        return scan(ctensor, W, Z, last)
+
+    rng = np.random.default_rng(7)
+    dirs = np.stack([effective_directions([su2.haar_rotation(rng) for _ in range(3)],
+                                          make_candidate_set("random:3", rng))
+                     for _ in range(7)])
+    ctensor = bp.svetlichny_polynomial(3).coefficient_tensor()
+    alone = [score_frames(ctensor, dirs[lo : lo + batch], sign_flips) for lo in range(0, 7, 2)]
+    monkeypatch.setattr(optimizer, "bell_values_over_assignments", spy)
+    best, index = score_frames(ctensor, dirs, sign_flips)
+    assert chunks == [2, 2, 2, 1]
+    assert best.tobytes() == np.concatenate([b for b, _ in alone]).tobytes()
+    assert index.tobytes() == np.concatenate([i for _, i in alone]).tobytes()
+
+
+def test_primed_sign_is_minus_when_the_pair_product_is_negative_even_if_rounded_away():
+    # S = E(A_1, A_2) + 1e-20 E(A_1, A'_2) on in-plane x-z directions, where
+    # E is the dot product: party 1 unprimed x, party 2 bases x and
+    # (-0.6, 0, -0.8) give a_0 = 1 and b_1 = -6e-21, which rounding absorbs,
+    # so party 2's options (0, 1, +) and (0, 1, -) both score 1.0. The scan
+    # keeps its sign rule there (- exactly when a_i b_j < 0): flat index 1.
+    ctensor = np.array([[1.0, 1e-20], [0.0, 0.0]])
+    dirs = np.array([[[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
+                      [[1.0, 0.0, 0.0], [-0.6, 0.0, -0.8]]]])
+    assert [a.tolist() for a in score_frames(ctensor, dirs)] == [[1.0], [1]]
+    assert [a.tolist() for a in score_frames(ctensor, dirs, False)] == [[1.0], [0]]
 
 
 def _pair_inputs(m):
