@@ -24,9 +24,11 @@ from .montecarlo import (
     DEFAULT_BIN_WIDTH,
     DEFAULT_BUDGET,
     ExperimentConfig,
-    _fmt_float,
+    csv_document,
+    json_document,
     run_experiment,
     write_histogram_csv,
+    write_lf,
     write_summary_json,
 )
 from .optimizer import (FIXED_KINDS, inplane_candidate_set, make_candidate_set, max_bell_value,
@@ -36,6 +38,16 @@ from .polynomials import FAMILIES, MAX_PARTIES, bounds_table, make_polynomial
 _COUNTEREXAMPLE_TILT = math.atan(math.sqrt(2.0))
 _COUNTEREXAMPLE_X_ANGLE = 3.0 * math.pi / 10.0
 _STATEVECTOR_SEED = 20_260_808
+
+
+def _out_dir(value: str) -> Path:
+    """``--out`` as a Path, checked before any work: it, or else its nearest
+    existing parent, must be a directory. The writers create what is missing."""
+    out = Path(value)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{existing} exists and is not a directory")
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help=", ".join(FIXED_KINDS) + ", or random:K")
     sample.add_argument("--samples", type=int, required=True)
     sample.add_argument("--seed", type=int, default=0)
-    sample.add_argument("--out", required=True, help="output directory")
+    sample.add_argument("--out", type=_out_dir, required=True, help="output directory")
     sample.add_argument("--sign-flips", choices=("on", "off"), default="on")
     sample.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH)
     sample.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
@@ -67,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--grid", type=int, required=True,
                        help="number of total-angle grid points over [0, 2pi), "
                             "scored in chunks sized to bound each scan step's memory")
-    sweep.add_argument("--out", required=True, help="output directory")
+    sweep.add_argument("--out", type=_out_dir, required=True, help="output directory")
 
     verify = sub.add_parser("verify", help="run the cross-module check suite")
     verify.set_defaults(run=cmd_verify)
@@ -78,7 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.set_defaults(run=cmd_bounds)
     bounds.add_argument("--n", type=int, required=True, choices=range(2, MAX_PARTIES + 1))
     bounds.add_argument("--family", required=True, choices=FAMILIES)
-    bounds.add_argument("--out", help="also write bounds.json to this directory")
+    bounds.add_argument("--out", type=_out_dir,
+                        help="also write bounds.json to this directory")
     return parser
 
 
@@ -98,11 +111,9 @@ def cmd_sample(args) -> int:
     except (BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_histogram_csv(result, out / "hist.csv")
-    write_summary_json(result, out / "summary.json")
-    print(f"wrote {out / 'hist.csv'} and {out / 'summary.json'}")
+    write_histogram_csv(result, args.out / "hist.csv")
+    write_summary_json(result, args.out / "summary.json")
+    print(f"wrote {args.out / 'hist.csv'} and {args.out / 'summary.json'}")
     print(f"lhv violation probability: {result.lhv_violation_prob:.6f}")
     return 0
 
@@ -120,23 +131,16 @@ def cmd_sweep(args) -> int:
     quats[:, 0, 0, ::3] = [(math.cos(theta / 2.0), math.sin(theta / 2.0)) for theta in thetas]
     dirs = su2.rotate_directions(quats, candidates.directions)
     best, _ = score_frames(poly.coefficient_tensor(), dirs)
-    lines = ["theta,primary,swapped,analytic_max,optimizer_max"]
+    rows = []
     for theta, optimizer_max in zip(thetas, best):
         primary = restricted.strategy_value(args.family, args.n, theta,
                                             restricted.STRATEGY_PRIMARY)
         swapped = restricted.strategy_value(args.family, args.n, theta,
                                             restricted.STRATEGY_SWAPPED)
-        lines.append(
-            ",".join(
-                _fmt_float(x)
-                for x in (theta, primary, swapped, max(primary, swapped), optimizer_max)
-            )
-        )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "sweep.csv"
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append((theta, primary, swapped, max(primary, swapped), optimizer_max))
+    path = args.out / "sweep.csv"
+    write_lf(path, csv_document(
+        ("theta", "primary", "swapped", "analytic_max", "optimizer_max"), rows))
     print(f"wrote {path}")
     return 0
 
@@ -283,24 +287,13 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     table = bounds_table(args.n, args.family)
-    rows = ",\n".join(
-        f'    {{"label": "{label}", "value": {_fmt_float(value)}}}'
-        for label, value in table.thresholds
-    )
-    text = (
-        "{\n"
-        f'  "n": {table.n},\n'
-        f'  "family": "{table.family}",\n'
-        f'  "lhv_bound": {_fmt_float(table.lhv_bound)},\n'
-        f'  "thresholds": [\n{rows}\n  ]\n'
-        "}\n"
-    )
+    text = json_document([
+        ("n", table.n), ("family", table.family), ("lhv_bound", table.lhv_bound),
+        ("thresholds", [(("label", lab), ("value", v)) for lab, v in table.thresholds]),
+    ])
     print(text, end="")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "bounds.json", "w", newline="\n") as fh:
-            fh.write(text)
+        write_lf(args.out / "bounds.json", text)
     return 0
 
 

@@ -38,10 +38,12 @@ has zero norm (measure zero).
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -328,18 +330,48 @@ def merge_results(a: ExperimentResult, b: ExperimentResult) -> ExperimentResult:
     return _build_result(merged_config, indices[order], values[order], per_sample)
 
 
-def _fmt_float(x: float) -> str:
-    """17 significant digits: enough to round-trip any double exactly."""
-    return "%.17g" % float(x)
+def _fmt_value(v) -> str:
+    """One value of an output file: a float with 17 significant digits
+    (enough to round-trip any double exactly), a bool as JSON's
+    ``true``/``false``, an int as ``%d``, a list as objects (iterables of
+    ``(key, value)`` pairs) one per line, and a string as a JSON string."""
+    if isinstance(v, float):
+        return "%.17g" % v
+    if isinstance(v, bool):  # before int: bool is a subclass of int
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return "%d" % v
+    if isinstance(v, list):
+        return "[\n" + ",\n".join("    {" + _json_pairs(obj, ", ") + "}" for obj in v) + "\n  ]"
+    return json.dumps(v)
+
+
+def _json_pairs(pairs, sep: str) -> str:
+    return sep.join(f"{json.dumps(key)}: {_fmt_value(value)}" for key, value in pairs)
+
+
+def json_document(fields) -> str:
+    """``fields``, ``(key, value)`` pairs in order, as a JSON document with
+    one key per line, indented two spaces."""
+    return "{\n  " + _json_pairs(fields, ",\n  ") + "\n}\n"
+
+
+def csv_document(header, rows) -> str:
+    """A CSV document: the ``header`` names, then one line of values per row."""
+    lines = [",".join(header), *(",".join(map(_fmt_value, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def write_lf(path, text: str) -> None:
+    """Write ``text`` to ``path`` with LF line endings, creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, newline="\n")
 
 
 def write_histogram_csv(result: ExperimentResult, path) -> None:
     """CSV with header ``bin_lo,bin_hi,count``, one row per bin, LF endings."""
-    lines = ["bin_lo,bin_hi,count"]
-    for lo, hi, count in result.histogram:
-        lines.append(f"{_fmt_float(lo)},{_fmt_float(hi)},{count}")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lf(path, csv_document(("bin_lo", "bin_hi", "count"), result.histogram))
 
 
 def summary_json(result: ExperimentResult) -> str:
@@ -348,35 +380,16 @@ def summary_json(result: ExperimentResult) -> str:
     ``frame_measure`` follows ``sign_flips`` only for a non-default measure.
     """
     cfg = result.config
-    measure = (
-        f'  "frame_measure": "{cfg.frame_measure}",\n'
-        if cfg.frame_measure != FRAME_HAAR else ""
-    )
-    bound_rows = ",\n".join(
-        "    {"
-        + f'"label": "{c.label}", "value": {_fmt_float(c.value)}, '
-        + f'"prob": {_fmt_float(c.prob)}, "stderr": {_fmt_float(c.stderr)}'
-        + "}"
-        for c in result.bounds
-    )
-    return (
-        "{\n"
-        f'  "n": {cfg.n},\n'
-        f'  "family": "{cfg.family}",\n'
-        f'  "candidates": "{cfg.candidates}",\n'
-        f'  "samples": {cfg.samples},\n'
-        f'  "seed": {cfg.seed},\n'
-        f'  "sign_flips": {"true" if cfg.sign_flips else "false"},\n'
-        f"{measure}"
-        f'  "lhv_violation_prob": {_fmt_float(result.lhv_violation_prob)},\n'
-        f'  "bounds": [\n{bound_rows}\n  ],\n'
-        f'  "mean": {_fmt_float(result.mean)},\n'
-        f'  "min": {_fmt_float(result.min)},\n'
-        f'  "max": {_fmt_float(result.max)}\n'
-        "}\n"
-    )
+    measure = [("frame_measure", cfg.frame_measure)] if cfg.frame_measure != FRAME_HAAR else []
+    return json_document([
+        ("n", cfg.n), ("family", cfg.family), ("candidates", cfg.candidates),
+        ("samples", cfg.samples), ("seed", cfg.seed), ("sign_flips", cfg.sign_flips),
+        *measure,
+        ("lhv_violation_prob", result.lhv_violation_prob),
+        ("bounds", [vars(c).items() for c in result.bounds]),
+        ("mean", result.mean), ("min", result.min), ("max", result.max),
+    ])
 
 
 def write_summary_json(result: ExperimentResult, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(summary_json(result))
+    write_lf(path, summary_json(result))

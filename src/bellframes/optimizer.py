@@ -42,9 +42,10 @@ Assignments are ordered lexicographically (party, then base pair, then
 primed sign, + before -), and ties keep the earliest. Each scan step keeps,
 per frame, only the best entry, its prefix and that prefix's ``a_i``,
 ``b_j``. The last party's digit is then read off the option table: the
-earliest ``(i, j, s)`` with the largest ``|a_i + s b_j|`` among those with
-``a_i s b_j >= 0`` under sign flips; it scores ``fl(|a_i| + |b_j|)`` bit
-for bit, the prefix's value. Results are deterministic.
+earliest ``(i, j, s)`` with the largest ``|a_i + s b_j|``, exactly the
+earliest best assignment: the ``s`` that gives ``s b_j`` the sign of
+``a_i`` scores ``fl(|a_i| + |b_j|)`` bit for bit, the prefix's value, and
+the other ``s`` no more. Results are deterministic.
 """
 
 from __future__ import annotations
@@ -275,8 +276,7 @@ def bell_values_over_assignments(ctensor, W, Z, last):
     memory rule; each step keeps per frame only the best value, the
     winning prefix and its ``a_i``, ``b_j``. After the loop the last
     party's digit is the earliest option ``(i, j, s)`` of
-    :func:`_party_options` with the largest ``|a_i + s b_j|``, options with
-    ``a_i s b_j < 0`` excluded under sign flips.
+    :func:`_party_options` with the largest ``|a_i + s b_j|``.
     """
     B, n, _, K = W.shape
     m = last.shape[-2]
@@ -308,11 +308,7 @@ def bell_values_over_assignments(ctensor, W, Z, last):
         best_prefix[improved] = lo * K ** (n - 2) + prefix[improved]
         best_ab[improved] = ab[frames, :, :, prefix][improved]
     uidx, pidx, psign = _party_options(m, flips > 1)
-    a = best_ab[:, uidx, 0]
-    b = psign * best_ab[:, pidx, 1]
-    score = np.abs(a + b)
-    if flips > 1:
-        score[a * b < 0.0] = -np.inf
+    score = np.abs(best_ab[:, uidx, 0] + psign * best_ab[:, pidx, 1])
     return best, best_prefix * K + score.argmax(axis=1)
 
 

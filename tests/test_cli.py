@@ -272,6 +272,72 @@ def test_bounds_output(tmp_path, capsys):
     assert table["GME(4)"] == 2.0
 
 
+# sha256 of `bounds` stdout for every family and n = 2..8; bounds.json must
+# hold the same bytes.
+GOLDEN_BOUNDS = {
+    ("mermin", 2): "bd5d30a49709326f43fd948e269518f82b75fd18aea8ca751e3808918190f1f5",
+    ("mermin", 3): "e076d68c5d7aaf7072198d7084ee046ae33ef4f855b76c9cefec44f3bfac116d",
+    ("mermin", 4): "d238e9f86d1cc562aa01035730de98c029eeebe60c692cf656ddf54749d2f372",
+    ("mermin", 5): "93ca6692420047f47fcaa93db8cd36c31a7a9617307546a358627dd75162caa7",
+    ("mermin", 6): "f552d470f327b3e43d8dc1cdbab1182c0d98f724e75e8a99440118dbbbd7fc15",
+    ("mermin", 7): "8d5709f276aff545982178c08af7de271df9d8d79a1e627aeda4b0d40dbb922b",
+    ("mermin", 8): "ebddf1f29203137948df2dd204a0c634c23b5b7e3d77d33c57d277f53a59a827",
+    ("mk", 2): "9bf38c3dbe3d2b3a817d5cda10c7f4b53a5c699bf4b8b7c6c8b5254f3766e72a",
+    ("mk", 3): "d54d4ddb09acb08fdf7ad3f56b31b1a352e7d2f4110c0fef6c56792652fcc435",
+    ("mk", 4): "c14ac6fba1431798623edde975bd240b7ba070cf9ba7e1582dc0a72d72453386",
+    ("mk", 5): "f653eccccaf6ec187ab2475aaff10372ba2672435ba996757a27fb9c6eee7ca0",
+    ("mk", 6): "25d8c305e97dec856112a8ec625a50390dfc6f37d847a93a7c695287188ba70f",
+    ("mk", 7): "02fd5bb42bf9f7a1068ba0c462139f52ddae1e67686dfb31eb057da66bd50783",
+    ("mk", 8): "4f5ebb0dd1ce15993ed2330eb7eb596dc9abe9c3aa1d2e2aa2618a1cf2b45212",
+    ("svetlichny", 2): "885dcd66a240bfcd695e6075f09a9a7802e687be8552a76ce8bfbd0f5a8b3aa0",
+    ("svetlichny", 3): "5622aabfddf97ce1e17028ce263ebad636a82bf11abe1ced01c44a9ff6938e45",
+    ("svetlichny", 4): "4fe7787a305e837fa87000f45c88a2c000d905b7b41ad87392b7fdbbe4de9b64",
+    ("svetlichny", 5): "01f32f03fb36579113792c1abce19d0225449c2fe92d1ec27e5289a02e56cfe6",
+    ("svetlichny", 6): "5e1fd11bb64631ff4fe4bb14509818bbcbd81845cf2e43b53202fa4c16047702",
+    ("svetlichny", 7): "b3ce4f32ff2bbe513bbece87a5e25797497737574f7fe5e0d34a6d4d0a571412",
+    ("svetlichny", 8): "8afe2de46bb9268da5865dac42ffde4564bed68c19336de58fa2b8c7e244fc3c",
+}
+
+
+@pytest.mark.parametrize("family, n", GOLDEN_BOUNDS)
+def test_bounds_output_matches_pinned_digest(tmp_path, capfd, family, n):
+    # capfd, not capsys: the bytes as written to the stdout file descriptor.
+    assert run_cli(["bounds", "--n", str(n), "--family", family, "--out", str(tmp_path)]) == 0
+    stdout = capfd.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == GOLDEN_BOUNDS[family, n]
+    assert (tmp_path / "bounds.json").read_bytes() == stdout
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--n", "3", "--family", "mermin", "--candidates", "pauli",
+     "--samples", "10", "--threads", "1"],
+    ["sweep", "--n", "3", "--family", "mermin", "--grid", "8"],
+    ["bounds", "--n", "3", "--family", "mermin"],
+], ids=["sample", "sweep", "bounds"])
+@pytest.mark.parametrize("inside", [False, True], ids=["at-file", "below-file"])
+def test_out_at_an_existing_file_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       command, inside):
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: calls.append(a))
+    blocker = tmp_path / "file"
+    blocker.write_text("keep")
+    out = blocker / "run" if inside else blocker
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*command, "--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: argument --out" in captured.err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert blocker.read_text() == "keep"
+
+
+def test_out_creates_missing_parents(tmp_path, capsys):
+    out = tmp_path / "a" / "b"
+    assert run_cli(["bounds", "--n", "2", "--family", "mk", "--out", str(out)]) == 0
+    assert (out / "bounds.json").read_text() == capsys.readouterr().out
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run_cli(["frobnicate"])

@@ -184,6 +184,13 @@ def test_summary_records_non_default_frame_measure():
     assert json.loads(summary_json(uniform))["frame_measure"] == "uniform-angle"
 
 
+def test_summary_json_matches_pinned_digest():
+    # Pins summary_json's own bytes, including where frame_measure sits.
+    result = run_experiment(small_config(samples=20, seed=7, frame_measure="uniform-angle"))
+    digest = hashlib.sha256(summary_json(result).encode()).hexdigest()
+    assert digest == "26ecbaa19321ca4a95f87f26450558c6ceff6dbf6b8ba70d31b3361712013a85"
+
+
 def test_uniform_angle_stream_contract():
     # Replay each sample's stream by hand: one uniform-angle rotation per
     # party in party order, then each party's own random candidate set.

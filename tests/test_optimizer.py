@@ -360,17 +360,23 @@ def test_score_frames_scans_at_most_a_batch_of_frames_per_call(monkeypatch, sign
     assert index.tobytes() == np.concatenate([i for _, i in alone]).tobytes()
 
 
-def test_primed_sign_is_minus_when_the_pair_product_is_negative_even_if_rounded_away():
+def test_rounded_away_primed_term_keeps_the_earliest_option():
     # S = E(A_1, A_2) + 1e-20 E(A_1, A'_2) on in-plane x-z directions, where
     # E is the dot product: party 1 unprimed x, party 2 bases x and
     # (-0.6, 0, -0.8) give a_0 = 1 and b_1 = -6e-21, which rounding absorbs,
-    # so party 2's options (0, 1, +) and (0, 1, -) both score 1.0. The scan
-    # keeps its sign rule there (- exactly when a_i b_j < 0): flat index 1.
+    # so party 2's options (0, 1, +) and (0, 1, -) both score 1.0. The
+    # earliest of them wins, as in the exhaustive scan.
+    from bellframes.optimizer import _channel_tables
+
     ctensor = np.array([[1.0, 1e-20], [0.0, 0.0]])
     dirs = np.array([[[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
                       [[1.0, 0.0, 0.0], [-0.6, 0.0, -0.8]]]])
-    assert [a.tolist() for a in score_frames(ctensor, dirs)] == [[1.0], [1]]
-    assert [a.tolist() for a in score_frames(ctensor, dirs, False)] == [[1.0], [0]]
+    for sign_flips in (True, False):
+        ref_value, ref_index = exhaustive_scan(
+            ctensor, *_channel_tables(dirs, *_party_options(2, sign_flips)))
+        value, index = score_frames(ctensor, dirs, sign_flips)
+        assert value.tolist() == ref_value.tolist() == [1.0]
+        assert index.tolist() == ref_index.tolist(), sign_flips
 
 
 def _pair_inputs(m):
