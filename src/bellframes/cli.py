@@ -35,8 +35,6 @@ from .optimizer import (FIXED_KINDS, inplane_candidate_set, make_candidate_set, 
                         score_frames)
 from .polynomials import FAMILIES, MAX_PARTIES, bounds_table, make_polynomial
 
-_COUNTEREXAMPLE_TILT = math.atan(math.sqrt(2.0))
-_COUNTEREXAMPLE_X_ANGLE = 3.0 * math.pi / 10.0
 _STATEVECTOR_SEED = 20_260_808
 
 
@@ -126,11 +124,10 @@ def cmd_sweep(args) -> int:
         return 2
     thetas = [2.0 * math.pi * k / args.grid for k in range(args.grid)]
     # Party 1 turns by theta about z (restricted.z_rotation); the others hold still.
-    quats = np.zeros((args.grid, args.n, 1, 4))
-    quats[:, :, 0, 0] = 1.0
-    quats[:, 0, 0, ::3] = [(math.cos(theta / 2.0), math.sin(theta / 2.0)) for theta in thetas]
-    dirs = su2.rotate_directions(quats, candidates.directions)
-    best, _ = score_frames(poly.coefficient_tensor(), dirs)
+    quats = np.zeros((args.grid, args.n, 4))
+    quats[:, :, 0] = 1.0
+    quats[:, 0, ::3] = [(math.cos(theta / 2.0), math.sin(theta / 2.0)) for theta in thetas]
+    best, _ = score_frames(poly.coefficient_tensor(), quats, candidates.directions)
     rows = []
     for theta, optimizer_max in zip(thetas, best):
         primary = restricted.strategy_value(args.family, args.n, theta,
@@ -143,18 +140,6 @@ def cmd_sweep(args) -> int:
         ("theta", "primary", "swapped", "analytic_max", "optimizer_max"), rows))
     print(f"wrote {path}")
     return 0
-
-
-def counterexample_tilted_rotation() -> su2.Rotation:
-    """The symmetric tilt (axis (1,1,0)/sqrt(2), angle arctan sqrt(2)) that
-    defeats Pauli candidates for the three-party Mermin test."""
-    axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-    return su2.Rotation.from_axis_angle(axis, _COUNTEREXAMPLE_TILT)
-
-
-def counterexample_x_rotation() -> su2.Rotation:
-    """The single-party x-axis rotation that defeats tetrahedral candidates."""
-    return su2.Rotation.from_axis_angle(su2.X_AXIS, _COUNTEREXAMPLE_X_ANGLE)
 
 
 def check_lhv_bound():
@@ -243,11 +228,15 @@ def check_polynomial_identities():
 
 
 def check_counterexamples():
-    """The tilted and x-rotated counterexample frames keep their values."""
+    """The tilted and x-rotated counterexample frames keep their values: the
+    symmetric tilt (axis (1,1,0)/sqrt(2), angle arctan sqrt(2)) of every
+    party defeats Pauli candidates for the three-party Mermin test, and one
+    party's x-axis rotation by 3pi/10 defeats tetrahedral candidates."""
     m3 = polynomials.mermin_polynomial(3)
-    tilted = counterexample_tilted_rotation()
+    tilted = su2.Rotation.from_axis_angle(np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0),
+                                          math.atan(math.sqrt(2.0)))
     value_t = max_bell_value(m3, [tilted] * 3, make_candidate_set("pauli")).bell_value
-    xrot = counterexample_x_rotation()
+    xrot = su2.Rotation.from_axis_angle(su2.X_AXIS, 3.0 * math.pi / 10.0)
     idrot = su2.Rotation.identity()
     value_s = max_bell_value(
         m3, [idrot, idrot, xrot], make_candidate_set("tetrahedron")

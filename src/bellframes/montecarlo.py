@@ -56,7 +56,7 @@ from .optimizer import (
     score_frames,
 )
 from .polynomials import bounds_table, make_polynomial
-from .su2 import check_unit_norms, haar_rotation, rotate_directions, uniform_angle_rotation
+from .su2 import check_unit_norms, haar_rotation, uniform_angle_rotation
 
 # A Bell value must exceed a bound by more than this to count as a crossing,
 # so exact-equality cases are never reported as violations.
@@ -215,9 +215,8 @@ def _draw_frames(config, m, indices, fixed_set):
 
 def _compute_batch(config, ctensor, fixed_set, m, indices, out):
     """Score samples ``indices`` (global sample ids) into ``out`` (same length)."""
-    quats, base = _draw_frames(config, m, indices, fixed_set)
-    dirs = rotate_directions(quats[:, :, None, :], base)
-    best, _ = score_frames(ctensor, dirs, config.sign_flips)
+    best, _ = score_frames(ctensor, *_draw_frames(config, m, indices, fixed_set),
+                           config.sign_flips)
     out[:] = best
 
 
@@ -263,9 +262,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     return _build_result(config, indices, values, per_sample)
 
 
-def _bin_count(top: float, bin_width: float) -> int:
-    """Histogram bins of ``bin_width`` covering ``[0, top]``."""
-    return max(1, math.ceil(top / bin_width - 1e-9))
+def _bin_count(top: float, bin_width: float):
+    """Histogram bins of ``bin_width`` covering ``[0, top]``; ``inf`` when
+    ``top / bin_width`` overflows, so that the bins check rejects it."""
+    bins = top / bin_width - 1e-9
+    return max(1, math.ceil(bins)) if bins < math.inf else bins
 
 
 def _build_result(config, indices, values, per_sample) -> ExperimentResult:

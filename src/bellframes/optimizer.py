@@ -9,9 +9,11 @@ unchanged. :func:`max_bell_value` finds the best of all ``(2 m (m-1))^n``
 reduced assignments.
 
 :func:`score_frames` is the one frame-scoring kernel, called by
-:func:`max_bell_value`, the Monte Carlo and the CLI sweep: it alone builds
-the per-party option tables from the effective directions and runs the scan,
-over any number of frames, in chunks that bound each scan step's memory.
+:func:`max_bell_value`, the Monte Carlo and the CLI sweep. It takes frames:
+each party's rotation and base directions. Over any number of frames, in
+chunks that bound each scan step's memory, it alone conjugates the
+directions into the GHZ frame, builds the per-party option tables from
+them and runs the scan.
 
 For unit Bloch directions the GHZ correlator of ``sigma . d_1, ...,
 sigma . d_n`` reduces to two per-party channels,
@@ -320,29 +322,29 @@ def _batch_frames(m: int, n: int, sign_flips: bool) -> int:
     return max(1, _SCAN_ENTRIES // (assignment_count(m, n - 2, sign_flips) * 2 * m))
 
 
-def score_frames(ctensor, dirs, sign_flips: bool = True):
+def score_frames(ctensor, quats, base, sign_flips: bool = True):
     """Per-frame (best value, flat assignment index) over all reduced assignments.
 
-    ``dirs`` (B, n, m, 3) holds each frame's effective (frame-conjugated)
-    base directions per party; any number of frames is scored, in chunks of
-    at most ``_batch_frames`` frames, each with its own option tables and
-    scan call. The flat index counts options of the table
+    ``quats`` (B, n, 4) holds each frame's party rotations and ``base`` the
+    base directions, shared (m, 3) or per frame and party (B, n, m, 3). Any
+    number of frames is scored, in chunks of at most ``_batch_frames``
+    frames; each chunk's directions are conjugated into the GHZ frame
+    (:func:`rotate_directions`) just before its own option tables and scan
+    call. The flat index counts options of the table
     ``_party_options(m, sign_flips)`` (see :func:`bell_values_over_assignments`).
     """
-    _, n, m, _ = dirs.shape
+    B, n, _ = quats.shape
+    m = base.shape[-2]
+    base = np.broadcast_to(base, (B, n, m, 3))
     options = _party_options(m, sign_flips)
     batch = _batch_frames(m, n, sign_flips)
-    chunks = [dirs[lo : lo + batch] for lo in range(0, len(dirs), batch)]
-    best, index = zip(*(
-        bell_values_over_assignments(ctensor, *_channel_tables(chunk, *options), chunk[:, -1])
-        for chunk in chunks))
+
+    def score(lo):
+        dirs = rotate_directions(quats[lo : lo + batch, :, None], base[lo : lo + batch])
+        return bell_values_over_assignments(ctensor, *_channel_tables(dirs, *options), dirs[:, -1])
+
+    best, index = zip(*map(score, range(0, B, batch)))
     return np.concatenate(best), np.concatenate(index)
-
-
-def effective_directions(rotations, candidates: CandidateSet) -> np.ndarray:
-    """Each party's candidate directions conjugated into the GHZ frame; (n, m, 3)."""
-    quats = np.stack([r.quaternion for r in rotations])
-    return rotate_directions(quats[:, None, :], candidates.directions[None, :, :])
 
 
 def max_bell_value(
@@ -353,15 +355,15 @@ def max_bell_value(
 ) -> OptimizationOutcome:
     """Maximize the Bell value of ``polynomial`` over all setting assignments.
 
-    ``rotations`` are the parties' local frame rotations; each candidate
-    direction is conjugated into the GHZ frame once, then every assignment's
-    Bell value ``|sum_t coeff_t * E(t)|`` is scored.
+    ``rotations`` are the parties' local frame rotations, scored as one
+    frame: every assignment's Bell value ``|sum_t coeff_t * E(t)|``.
     """
     n = polynomial.n
     if len(rotations) != n:
         raise ValueError(f"expected {n} rotations, got {len(rotations)}")
-    dirs = effective_directions(rotations, candidates)
-    best, best_idx = score_frames(polynomial.coefficient_tensor(), dirs[None], sign_flips)
+    quats = np.stack([r.quaternion for r in rotations])[None]
+    best, best_idx = score_frames(polynomial.coefficient_tensor(), quats,
+                                  candidates.directions, sign_flips)
     uidx, pidx, psign = _party_options(candidates.size, sign_flips)
     K = len(uidx)
     digits = np.unravel_index(int(best_idx[0]), (K,) * n)

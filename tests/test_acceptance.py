@@ -245,20 +245,22 @@ def test_c3d_restricted_grid_oracle_and_bounds():
 
 
 def test_c3e_symmetry_reduction_and_frame_covariance():
-    from bellframes.optimizer import effective_directions, score_frames
+    from bellframes.optimizer import score_frames
     from oracles import exhaustive_scan, quat_multiply, unreduced_tables
 
     rng = np.random.default_rng(SEED + 2)
-    base = make_candidate_set("pauli")
+    base = make_candidate_set("pauli").directions
 
-    def scan(poly, per_party_dirs):
-        values, _ = score_frames(poly.coefficient_tensor(), np.stack(per_party_dirs)[None])
+    def scan(poly, rots, per_party_base):
+        quats = np.stack([r.quaternion for r in rots])[None]
+        values, _ = score_frames(poly.coefficient_tensor(), quats, per_party_base[None])
         return float(values[0])
 
-    def full_scan(poly, per_party_dirs):
+    def full_scan(poly, rots):
         # Every option scored as a contracted party: the scan folds the last
         # party's signs analytically, so the unreduced side must not use it.
-        W, Z = unreduced_tables(np.stack(per_party_dirs)[None, ...])
+        quats = np.stack([r.quaternion for r in rots])
+        W, Z = unreduced_tables(su2.rotate_directions(quats[None, :, None], base))
         values, _ = exhaustive_scan(poly.coefficient_tensor(), W, Z)
         return float(values[0])
 
@@ -268,22 +270,19 @@ def test_c3e_symmetry_reduction_and_frame_covariance():
         n = 2 + trial % 2
         poly = bp.make_polynomial(bp.FAMILIES[trial % 3], n)
         rots = [su2.haar_rotation(rng) for _ in range(n)]
-        dirs = [effective_directions([r], base)[0] for r in rots]
 
-        reduced = scan(poly, dirs)
-        full = full_scan(poly, dirs)
+        reduced = scan(poly, rots, np.stack([base] * n))
+        full = full_scan(poly, rots)
         worst_sym = max(worst_sym, abs(reduced - full))
 
         k = trial % n
         extra = su2.haar_rotation(rng)
         inverse = su2.Rotation(extra.q0, -extra.q1, -extra.q2, -extra.q3)
-        twisted = quat_multiply(extra.quaternion, rots[k].quaternion)
-        counter = np.array([su2.rotate_direction(inverse, d)
-                            for d in base.directions])
-        twisted_dirs = list(dirs)
-        twisted_dirs[k] = np.array([su2.rotate_direction(twisted, d)
-                                    for d in counter])
-        worst_cov = max(worst_cov, abs(scan(poly, twisted_dirs) - reduced))
+        twisted = list(rots)
+        twisted[k] = quat_multiply(extra.quaternion, rots[k].quaternion)
+        counter = np.stack([base] * n)
+        counter[k] = [su2.rotate_direction(inverse, d) for d in base]
+        worst_cov = max(worst_cov, abs(scan(poly, twisted, counter) - reduced))
     check("3e symmetry reduction and frame covariance on 100 random instances "
           "<= 1e-12", worst_sym <= 1e-12 and worst_cov <= 1e-12,
           f"reduction diff={worst_sym:.2e}, covariance diff={worst_cov:.2e}")

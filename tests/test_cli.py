@@ -119,6 +119,7 @@ def test_sample_rejects_bad_flags(tmp_path):
     ("--bin-width", "nan"),
     ("--bin-width", "inf"),
     ("--bin-width", "1e-6"),  # 2e6 bins, more than montecarlo.MAX_BINS
+    ("--bin-width", "1e-309"),  # the bin count overflows to inf
     # Would draw random:7's samples, but summary.json would echo this spelling.
     ("--candidates", "random: 7"),
 ])
@@ -211,6 +212,17 @@ def test_batched_sweep_equals_per_point_scan(tmp_path, monkeypatch, family, n, b
     if bounded:
         assert chunks == [5, 5, 5, 5, 2]
     assert swept.tobytes() == per_point_sweep(family, n, grid).tobytes()
+
+
+def test_sweep_conjugates_through_the_frame_kernel(tmp_path, monkeypatch):
+    # The sweep hands score_frames quaternions; the kernel's own module-level
+    # rotate_directions (the name perfbench/tracing.py wraps) conjugates them.
+    calls = []
+    rotate = opt.rotate_directions
+    monkeypatch.setattr(opt, "rotate_directions",
+                        lambda quats, base: calls.append(quats.shape) or rotate(quats, base))
+    sweep_column(tmp_path, "svetlichny", 3, 10)
+    assert calls == [(10, 3, 1, 4)]
 
 
 # sha256 of sweep.csv, pinned from the per-point scan that preceded the

@@ -197,7 +197,6 @@ def test_uniform_angle_stream_contract():
     from bellframes import polynomials as bp
     from bellframes import su2
     from bellframes.optimizer import (
-        effective_directions,
         make_candidate_set,
         max_bell_value,
         random_candidate_set,
@@ -222,8 +221,9 @@ def test_uniform_angle_stream_contract():
         rng = sample_generator(drawn.seed, int(s))
         rots = [su2.uniform_angle_rotation(rng) for _ in range(3)]
         sets = [random_candidate_set(3, rng) for _ in range(3)]
-        eff = np.stack([effective_directions([r], c)[0] for r, c in zip(rots, sets)])
-        value, _ = score_frames(poly.coefficient_tensor(), eff[None])
+        quats = np.stack([r.quaternion for r in rots])
+        base = np.stack([c.directions for c in sets])
+        value, _ = score_frames(poly.coefficient_tensor(), quats[None], base[None])
         assert abs(value[0] - res.values[b]) < 1e-12
 
 
@@ -339,6 +339,11 @@ def test_invalid_config_rejected():
     for width in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
             ExperimentConfig(3, "mermin", "pauli", 10, 1, bin_width=width)
+    # Positive and finite, but with more than MAX_BINS bins, or a bin count
+    # that overflows to inf.
+    for width in (1e-6, 1e-309, 5e-324):
+        with pytest.raises(ValueError, match="bins"):
+            run_experiment(small_config(bin_width=width))
     with pytest.raises(ValueError):
         ExperimentConfig(3, "mermin", "pauli", 10, 1, frame_measure="uniform")
     with pytest.raises(ValueError):

@@ -104,15 +104,16 @@ def test_ghz_phase_rotations_summing_to_zero_keep_every_frame_best(
     # so composing it into every frame changes no Bell value beyond roundoff.
     rng = np.random.default_rng(seed)
     base = make_candidate_set(kind, rng).directions
-    quats = rng.standard_normal((4, n, 1, 4))
+    quats = rng.standard_normal((4, n, 4))
     quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
-    dirs = rotate_directions(quats, base)
     phi = np.array(phis[: n - 1] + [-sum(phis[: n - 1])])
-    rz = np.zeros((n, 1, 4))
-    rz[:, 0, 0], rz[:, 0, 3] = np.cos(phi / 2.0), np.sin(phi / 2.0)
+    rz = np.zeros((4, n, 4))
+    rz[..., 0], rz[..., 3] = np.cos(phi / 2.0), np.sin(phi / 2.0)
     ctensor = make_polynomial(family, n).coefficient_tensor()
-    best, _ = score_frames(ctensor, dirs, sign_flips)
-    turned, _ = score_frames(ctensor, rotate_directions(rz, dirs), sign_flips)
+    best, _ = score_frames(ctensor, quats, base, sign_flips)
+    # The phase rotation is the frame of the already conjugated directions.
+    dirs = rotate_directions(quats[:, :, None], base)
+    turned, _ = score_frames(ctensor, rz, dirs, sign_flips)
     assert np.max(np.abs(turned - best)) <= 1e-12
 
 
@@ -128,18 +129,19 @@ def test_ghz_phase_rotations_summing_to_zero_keep_every_frame_best(
 def test_negating_one_partys_directions_keeps_every_frame_best_and_index(
         n, family, kind, sign_flips, seed, party):
     # Every term carries exactly one factor of each party and IEEE negation
-    # is exact, so negating one party's base directions negates every term
-    # and the scan's |sum| comparisons see the same values bit for bit.
+    # is exact. Conjugation is linear with an exact sign symmetry, so
+    # negating one party's base directions negates its conjugated ones bit
+    # for bit, which negates every term: the scan's |sum| comparisons see
+    # the same values bit for bit.
     rng = np.random.default_rng(seed)
     base = make_candidate_set(kind, rng).directions
-    quats = rng.standard_normal((3, n, 1, 4))
+    quats = rng.standard_normal((3, n, 4))
     quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
-    dirs = rotate_directions(quats, base)
-    flipped = dirs.copy()
+    flipped = np.array([[base] * n] * 3)
     flipped[:, party % n] *= -1.0
     ctensor = make_polynomial(family, n).coefficient_tensor()
-    best, index = score_frames(ctensor, dirs, sign_flips)
-    flipped_best, flipped_index = score_frames(ctensor, flipped, sign_flips)
+    best, index = score_frames(ctensor, quats, base, sign_flips)
+    flipped_best, flipped_index = score_frames(ctensor, quats, flipped, sign_flips)
     assert flipped_best.tobytes() == best.tobytes()
     assert np.array_equal(flipped_index, index)
 
@@ -167,6 +169,6 @@ def test_extra_frame_rotation_undone_on_the_candidates_keeps_every_frame_best(
     counter = base.copy()
     counter[:, k] = rotate_directions(extra[:, None] * [1.0, -1.0, -1.0, -1.0], base[:, k])
     ctensor = make_polynomial(family, n).coefficient_tensor()
-    best, _ = score_frames(ctensor, rotate_directions(quats[:, :, None], base), sign_flips)
-    moved, _ = score_frames(ctensor, rotate_directions(twisted[:, :, None], counter), sign_flips)
+    best, _ = score_frames(ctensor, quats, base, sign_flips)
+    moved, _ = score_frames(ctensor, twisted, counter, sign_flips)
     assert np.max(np.abs(moved - best)) <= 1e-12

@@ -12,7 +12,6 @@ from bellframes.optimizer import (
     _batch_frames,
     _party_options,
     assignment_count,
-    effective_directions,
     inplane_candidate_set,
     make_candidate_set,
     max_bell_value,
@@ -195,8 +194,9 @@ def test_frame_covariance():
     rng = np.random.default_rng(23)
     base = make_candidate_set("pauli")
 
-    def best(poly, per_party_dirs):
-        values, _ = score_frames(poly.coefficient_tensor(), np.stack(per_party_dirs)[None])
+    def best(poly, rots, per_party_base):
+        quats = np.stack([r.quaternion for r in rots])[None]
+        values, _ = score_frames(poly.coefficient_tensor(), quats, per_party_base[None])
         return float(values[0])
 
     for trial in range(10):
@@ -210,11 +210,9 @@ def test_frame_covariance():
         plain = max_bell_value(poly, rots, base).bell_value
         twisted_rots = list(rots)
         twisted_rots[k] = quat_multiply(extra.quaternion, rots[k].quaternion)
-        counter = np.array([su2.rotate_direction(inverse, d) for d in base.directions])
-        per_party = [effective_directions([r], base)[0] for r in twisted_rots]
-        per_party[k] = np.array(
-            [su2.rotate_direction(twisted_rots[k], d) for d in counter])
-        assert abs(best(poly, per_party) - plain) < 1e-12
+        per_party = np.stack([base.directions] * n)
+        per_party[k] = [su2.rotate_direction(inverse, d) for d in base.directions]
+        assert abs(best(poly, twisted_rots, per_party) - plain) < 1e-12
 
 
 SCAN_KINDS = ("pauli", "tetrahedron", "tetrahedron-z",
@@ -252,12 +250,14 @@ def test_scan_matches_exhaustive(monkeypatch, kind, n):
     unprimed_only[(0,) * n] = 1.0
     tensors = [bp.make_polynomial(f, n).coefficient_tensor() for f in bp.FAMILIES]
     for case, ctensor in enumerate(tensors + [unprimed_only]):
-        dirs = np.empty((3, n, m, 3))
+        quats = np.empty((3, n, 4))
+        base = np.empty((3, n, m, 3))
         for b in range(3):
             for k in range(n):
-                cs = make_candidate_set(kind, rng)
+                base[b, k] = make_candidate_set(kind, rng).directions
                 rot = IDENT if b == 0 and kind == "pauli" else su2.haar_rotation(rng)
-                dirs[b, k] = effective_directions([rot], cs)[0]
+                quats[b, k] = rot.quaternion
+        dirs = su2.rotate_directions(quats[:, :, None], base)
         for sign_flips in (True, False):
             if assignment_count(m, n, sign_flips) > ORACLE_ASSIGNMENTS:
                 continue
@@ -267,7 +267,7 @@ def test_scan_matches_exhaustive(monkeypatch, kind, n):
                 with monkeypatch.context() as patch:
                     if bounded:
                         patch.setattr(optimizer, "_SCAN_ENTRIES", 1)
-                    value, index = score_frames(ctensor, dirs, sign_flips)
+                    value, index = score_frames(ctensor, quats, base, sign_flips)
                 assert np.max(np.abs(value - ref_value)) <= 1e-12
                 assert np.array_equal(index, ref_index), (case, sign_flips, bounded)
 
@@ -295,12 +295,11 @@ def test_score_frames_matches_pinned_digest(monkeypatch):
                     rng = np.random.default_rng([n, kinds.index(kind)])
                     base = np.array([[make_candidate_set(kind, rng).directions
                                       for _ in range(n)] for _ in range(3)])
-                    quats = rng.standard_normal((3, n, 1, 4))
+                    quats = rng.standard_normal((3, n, 4))
                     quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
                     quats[0] = [1.0, 0.0, 0.0, 0.0]
-                    dirs = su2.rotate_directions(quats, base)
                     for sign_flips in (True, False):
-                        best, index = score_frames(ctensor, dirs, sign_flips)
+                        best, index = score_frames(ctensor, quats, base, sign_flips)
                         digest.update(best.tobytes())
                         digest.update(index.astype(np.int64).tobytes())
     assert digest.hexdigest() == SCORE_FRAMES_DIGEST
@@ -321,10 +320,9 @@ def test_score_frames_hands_the_scan_a_z_table_only_at_even_n(monkeypatch, n, si
 
     monkeypatch.setattr(optimizer, "bell_values_over_assignments", spy)
     rng = np.random.default_rng(n)
-    dirs = effective_directions([su2.haar_rotation(rng) for _ in range(n)],
-                                make_candidate_set("pauli"))
-    score_frames(bp.mermin_polynomial(n).coefficient_tensor(), np.stack([dirs] * 2),
-                 sign_flips)
+    quats = np.stack([su2.haar_rotation(rng).quaternion for _ in range(n)])
+    score_frames(bp.mermin_polynomial(n).coefficient_tensor(), np.stack([quats] * 2),
+                 make_candidate_set("pauli").directions, sign_flips)
     table = (2, n, 2, assignment_count(3, 1, sign_flips))
     assert shapes == [(table, None if n % 2 else table)]
 
@@ -348,16 +346,36 @@ def test_score_frames_scans_at_most_a_batch_of_frames_per_call(monkeypatch, sign
         return scan(ctensor, W, Z, last)
 
     rng = np.random.default_rng(7)
-    dirs = np.stack([effective_directions([su2.haar_rotation(rng) for _ in range(3)],
-                                          make_candidate_set("random:3", rng))
-                     for _ in range(7)])
+    frames = [([su2.haar_rotation(rng).quaternion for _ in range(3)],
+               [make_candidate_set("random:3", rng).directions] * 3) for _ in range(7)]
+    quats, base = (np.array(part) for part in zip(*frames))
     ctensor = bp.svetlichny_polynomial(3).coefficient_tensor()
-    alone = [score_frames(ctensor, dirs[lo : lo + batch], sign_flips) for lo in range(0, 7, 2)]
+    alone = [score_frames(ctensor, quats[lo : lo + batch], base[lo : lo + batch], sign_flips)
+             for lo in range(0, 7, 2)]
     monkeypatch.setattr(optimizer, "bell_values_over_assignments", spy)
-    best, index = score_frames(ctensor, dirs, sign_flips)
+    best, index = score_frames(ctensor, quats, base, sign_flips)
     assert chunks == [2, 2, 2, 1]
     assert best.tobytes() == np.concatenate([b for b, _ in alone]).tobytes()
     assert index.tobytes() == np.concatenate([i for _, i in alone]).tobytes()
+
+
+@pytest.mark.parametrize("sign_flips", [True, False])
+def test_score_frames_shared_base_equals_it_given_per_frame(monkeypatch, sign_flips):
+    # A shared (m, 3) base scores as that base given to every party of every
+    # frame, (B, n, m, 3), bit for bit: in one chunk and in one-frame chunks.
+    from bellframes import optimizer
+
+    rng = np.random.default_rng(11)
+    quats = rng.standard_normal((5, 3, 4))
+    quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+    base = make_candidate_set("tetrahedron").directions
+    ctensor = bp.mk_polynomial(3).coefficient_tensor()
+    for entries in (_SCAN_ENTRIES, 1):
+        monkeypatch.setattr(optimizer, "_SCAN_ENTRIES", entries)
+        shared = score_frames(ctensor, quats, base, sign_flips)
+        per_frame = score_frames(ctensor, quats, np.tile(base, (5, 3, 1, 1)), sign_flips)
+        assert shared[0].tobytes() == per_frame[0].tobytes()
+        assert shared[1].tobytes() == per_frame[1].tobytes()
 
 
 def test_rounded_away_primed_term_keeps_the_earliest_option():
@@ -371,10 +389,11 @@ def test_rounded_away_primed_term_keeps_the_earliest_option():
     ctensor = np.array([[1.0, 1e-20], [0.0, 0.0]])
     dirs = np.array([[[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]],
                       [[1.0, 0.0, 0.0], [-0.6, 0.0, -0.8]]]])
+    unrotated = np.array([[[1.0, 0.0, 0.0, 0.0]] * 2])
     for sign_flips in (True, False):
         ref_value, ref_index = exhaustive_scan(
             ctensor, *_channel_tables(dirs, *_party_options(2, sign_flips)))
-        value, index = score_frames(ctensor, dirs, sign_flips)
+        value, index = score_frames(ctensor, unrotated, dirs, sign_flips)
         assert value.tolist() == ref_value.tolist() == [1.0]
         assert index.tolist() == ref_index.tolist(), sign_flips
 
@@ -470,7 +489,7 @@ def test_scan_rejects_tables_it_cannot_fold():
     from bellframes.optimizer import bell_values_over_assignments
     from oracles import unreduced_tables
 
-    dirs = effective_directions([IDENT] * 2, make_candidate_set("pauli"))[None]
+    dirs = np.array([[np.eye(3)] * 2])
     W, Z = unreduced_tables(dirs)
     with pytest.raises(ValueError, match="do not fit"):
         bell_values_over_assignments(bp.mk_polynomial(2).coefficient_tensor(), W, Z, dirs[:, -1])
