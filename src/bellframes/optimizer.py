@@ -5,8 +5,9 @@ pair of *distinct* bases ``(A_k, A'_k)`` (two genuinely different measurement
 bases), plus a sign for the primed setting. The unprimed sign is fixed to +
 by a symmetry reduction: flipping both settings of one party negates every
 full-correlation term exactly once and leaves the Bell value ``|sum|``
-unchanged. :func:`max_bell_value` finds the best of all ``(2 m (m-1))^n``
-reduced assignments.
+unchanged. :func:`max_bell_value` returns the best of all ``(2 m (m-1))^n``
+reduced assignments, though the scan scores only one prefix per symmetry
+orbit (below).
 
 :func:`score_frames` is the one frame-scoring kernel, called by
 :func:`max_bell_value`, the Monte Carlo and the CLI sweep. It takes frames:
@@ -25,7 +26,8 @@ so the Bell sum is a contraction of the polynomial's dense coefficient
 tensor with per-party option tables. A party's options are three columns
 (unprimed base, primed base, primed sign), the unprimed sign being the
 reduction's +, and only even n builds a z-channel table. The scan
-contracts parties 1..n-1 over all their options (prefixes). The sum is
+contracts parties 1..n-1 over their options (prefixes; one per symmetry
+orbit, below). The sum is
 linear in the last party's two settings. Let ``w = d[0] + i d[1]`` and
 ``z = d[2]`` for its base directions, and ``alpha``, ``beta`` (``gamma``,
 ``delta``) be the prefix's coefficients of its unprimed and primed
@@ -48,6 +50,39 @@ earliest ``(i, j, s)`` with the largest ``|a_i + s b_j|``, exactly the
 earliest best assignment: the ``s`` that gives ``s b_j`` the sign of
 ``a_i`` scores ``fl(|a_i| + |b_j|)`` bit for bit, the prefix's value, and
 the other ``s`` no more. Results are deterministic.
+
+Symmetry orbits. With sign flips, option ``(i, j, s)`` of party k sets
+``A = d_i`` and ``A' = s d_j``. ``T_k``, ``(i, j, s) -> (j, i, -s)``, maps
+``(A, A')`` to ``s (A', -A)``; every family is ``Re(u prod_k (a_k +
+i a'_k)) / 2^e``, so ``T_k`` multiplies party k's factor by ``-i s`` and
+``T_k T_n`` keeps ``|sum|``. ``C``, ``(i, j, s) -> (i, j, -s)`` on every
+party, multiplies a term with p primed settings by ``(-1)^p``. The scan maximizes over every option of the last
+party, which ``T_n`` and ``C`` map onto themselves, so a prefix's value is
+unchanged by ``T_k`` on any prefix party when ``T_k T_n`` maps the
+coefficient tensor to +-itself, and by ``C`` when ``C`` does (every nonzero
+coefficient's prime count has one parity). :func:`_orbit_symmetries` reads
+both off the tensor, not off a family name: T holds for every family, C
+for Mermin and odd-n MK. The scan then scores only the lexicographically
+earliest prefix of each orbit: parties 1..n-1 keep the options with
+``i < j`` (T) and party 1 also keeps primed sign + (C), 2^(n-1) or 2^n
+times fewer prefixes. Without sign flips, or for a tensor with neither
+symmetry, every prefix is scored.
+
+The earliest-index tie rule and every bit survive because an orbit's
+prefixes round to the same value. A map turns a party's table pair
+``(u, p)`` into ``s (p, -u)`` or ``(u, -p)``: negations, exact. Under a
+tensor symmetry the coefficients the mapped pair meets are +- the ones the
+original met. T also needs ``ct``'s entries to be 0 or +-2^-e (every
+family's are), so that party 1's products are exact and its two-term sums
+round once in either order, whatever the BLAS kernel; each fold adds two
+products, and ``fl(x + y) = fl(y + x)``, ``fl(-x) = -fl(x)``. So
+every partial sum of the mapped prefix is +- one of the original's, and so
+are the last party's coefficients, possibly swapped between its unprimed
+and primed channels. ``rows @ parts`` then gives its ``a_i``, ``b_j`` as
++- the original's ``b_i``, ``a_j`` (every column with the same kernel,
+which the tests check), so its pair table is the original's transposed and
+up to signs, with the same largest entry. ``tests/oracles.py`` keeps the
+full-prefix scan, and the tests compare best bytes and flat indices with it.
 """
 
 from __future__ import annotations
@@ -62,8 +97,8 @@ from .polynomials import BellPolynomial
 from .su2 import _unit_normal_draw, check_unit_norms, rotate_directions
 
 # Bound on the last-party values (frames x prefixes x 2m bases, float64) of
-# one scan step: max(_SCAN_ENTRIES, K^(n-2) 2m). A frame whose single
-# party-1 option holds more is scored alone, over it.
+# one scan step: at most max(_SCAN_ENTRIES, K^(n-2) 2m). A frame whose
+# single party-1 option holds more is scored alone, over it.
 _SCAN_ENTRIES = 1 << 17
 _ROW_SIGNS = np.array([1.0, -1.0, 1.0])
 
@@ -259,6 +294,49 @@ def _largest_pair_entries(ab, flips):
     return best
 
 
+def _orbit_symmetries(ctensor):
+    """Whether the scan may keep one prefix per orbit of T and of C.
+
+    T: ``T_k T_n`` (``T_k`` swaps party k's settings, ``(A, A') -> (A', -A)``)
+    maps the coefficient tensor to exactly +-itself for every prefix party
+    k, and every nonzero coefficient is +- a power of two: T swaps the two
+    products of party 1's sums, which keep their bits only when exact.
+    C: flipping every primed sign maps the tensor to +-itself, that is
+    every nonzero coefficient's prime count has the same parity.
+    """
+    n = ctensor.ndim
+    bits = np.indices(ctensor.shape)
+
+    def symmetric(mapped):
+        return np.array_equal(mapped, ctensor) or np.array_equal(mapped, -ctensor)
+
+    t = all(symmetric(np.flip(ctensor, (k, n - 1)) * (-1.0) ** (bits[k] + bits[n - 1]))
+            for k in range(n - 1))
+    dyadic = np.all(np.abs(np.frexp(ctensor[ctensor != 0])[0]) == 0.5)
+    return t and dyadic, symmetric((-1.0) ** bits.sum(axis=0) * ctensor)
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_representatives(m: int, sign_flips: bool, n: int, coefficients: bytes):
+    """Options the scan keeps, one per orbit: (party 1's, parties 2..n-1's).
+
+    With T, options with ``uidx < pidx``; with C, party 1 keeps primed sign
+    + only. Indices into the :func:`_party_options` table, ascending, so each
+    kept option is its orbit's lexicographically earliest member.
+    ``coefficients`` holds the bytes of the float64 (2,)*n coefficient
+    tensor. Cached and read-only: the tensor test runs once per polynomial.
+    """
+    uidx, pidx, psign = _party_options(m, sign_flips)
+    ctensor = np.frombuffer(coefficients).reshape((2,) * n)
+    t, c = _orbit_symmetries(ctensor) if sign_flips else (False, False)
+    keep = uidx < pidx if t else np.full(len(uidx), True)
+    rest = np.flatnonzero(keep)
+    first = np.flatnonzero(keep & (psign > 0)) if c else rest
+    for column in (first, rest):
+        column.setflags(write=False)
+    return first, rest
+
+
 def bell_values_over_assignments(ctensor, W, Z, last):
     """Per-batch (best value, flat assignment index) over all combinations.
 
@@ -270,14 +348,15 @@ def bell_values_over_assignments(ctensor, W, Z, last):
     indices in base K, party 1 most significant, matching the lexicographic
     enumeration order; ties resolve to the smallest index.
 
-    The last party is scored from ``last`` rather than from its option
-    tables (see the module docstring): :func:`_largest_pair_entries` gives
-    each prefix of parties 1..n-1 the largest entry of its m x m pair table
-    in O(m) passes. Party-1 options are scanned in groups of
-    ``_batch_frames(...) // B`` (at least one option per group), the one
-    memory rule; each step keeps per frame only the best value, the
-    winning prefix and its ``a_i``, ``b_j``. After the loop the last
-    party's digit is the earliest option ``(i, j, s)`` of
+    Only each symmetry orbit's earliest prefix of parties 1..n-1 is scored,
+    over the options of :func:`_orbit_representatives` (see the module
+    docstring). The last party is scored from ``last`` rather than from its
+    option tables: :func:`_largest_pair_entries` gives each prefix the
+    largest entry of its m x m pair table in O(m) passes. Party-1 options
+    are scanned in groups of ``_batch_frames(...) // B`` (at least one
+    option per group), the one memory rule; each step keeps per frame only
+    the best value, the winning prefix and its ``a_i``, ``b_j``. After the
+    loop the last party's digit is the earliest option ``(i, j, s)`` of
     :func:`_party_options` with the largest ``|a_i + s b_j|``.
     """
     B, n, _, K = W.shape
@@ -285,21 +364,25 @@ def bell_values_over_assignments(ctensor, W, Z, last):
     flips = K // (m * (m - 1))  # primed-sign options per base pair: 1 or 2
     if flips * m * (m - 1) != K or flips not in (1, 2):
         raise ValueError(f"{K} options per party do not fit {m} base directions")
+    first, rest = _orbit_representatives(m, flips > 1, n, ctensor.astype(float).tobytes())
     c = 2 if Z is None else 3
     # a_i = Re(alpha w_i) [+ gamma z_i] = rows[i] . (Re alpha, Im alpha[, gamma]).
     rows = last[..., :c] * _ROW_SIGNS[:c]
     ct = ctensor.reshape(2, -1).T
-    group = max(1, min(K, _batch_frames(m, n, flips > 1) // B))
+    # Parties 2..n-1 keep their representative options: (n-2, B, 2, len(rest)).
+    W_rest, Z_rest = (T if T is None else T[:, 1 : n - 1][..., rest].swapaxes(0, 1)
+                      for T in (W, Z))
+    group = max(1, min(len(first), _batch_frames(m, n, flips > 1) // B))
     frames = np.arange(B)
     best = np.full(B, -np.inf)
     best_prefix = np.zeros(B, dtype=np.int64)
     best_ab = np.zeros((B, m, 2))
-    for lo in range(0, K, group):
-        o1 = slice(lo, lo + group)
-        acc = _fold_parties(ct @ W[:, 0, :, o1], [W[:, k] for k in range(1, n - 1)])
+    for lo in range(0, len(first), group):
+        o1 = first[lo : lo + group]
+        acc = _fold_parties(ct @ W[:, 0][..., o1], W_rest)
         parts = [acc.real, acc.imag]
         if Z is not None:
-            parts.append(_fold_parties(ct @ Z[:, 0, :, o1], [Z[:, k] for k in range(1, n - 1)]))
+            parts.append(_fold_parties(ct @ Z[:, 0][..., o1], Z_rest))
         P = acc.shape[-1]
         ab = (rows @ np.stack(parts, axis=1).reshape(B, c, 2 * P)).reshape(B, m, 2, P)
         per_prefix = _largest_pair_entries(ab, flips)
@@ -307,8 +390,12 @@ def bell_values_over_assignments(ctensor, W, Z, last):
         chunk_best = per_prefix[frames, prefix]
         improved = chunk_best > best
         best[improved] = chunk_best[improved]
-        best_prefix[improved] = lo * K ** (n - 2) + prefix[improved]
+        best_prefix[improved] = lo * len(rest) ** (n - 2) + prefix[improved]
         best_ab[improved] = ab[frames, :, :, prefix][improved]
+    # The winning representative prefix as base-K option digits.
+    digits = np.unravel_index(best_prefix, (len(first),) + (len(rest),) * (n - 2))
+    best_prefix = np.ravel_multi_index([first[digits[0]]] + [rest[d] for d in digits[1:]],
+                                       (K,) * (n - 1))
     uidx, pidx, psign = _party_options(m, flips > 1)
     score = np.abs(best_ab[:, uidx, 0] + psign * best_ab[:, pidx, 1])
     return best, best_prefix * K + score.argmax(axis=1)
@@ -316,9 +403,10 @@ def bell_values_over_assignments(ctensor, W, Z, last):
 
 def _batch_frames(m: int, n: int, sign_flips: bool) -> int:
     """Frames per scan call of :func:`score_frames`, for ``m`` base directions
-    and ``n`` parties: one party-1 option of a chunk holds ``K^(n-2) 2m``
-    last-party values per frame, at most ``_SCAN_ENTRIES`` in all (at least
-    one frame). The scan's party-1 groups follow the same rule."""
+    and ``n`` parties: one party-1 option of a chunk holds at most
+    ``K^(n-2) 2m`` last-party values per frame (fewer where the scan keeps
+    one prefix per orbit), at most ``_SCAN_ENTRIES`` in all (at least one
+    frame). The scan's party-1 groups follow the same rule."""
     return max(1, _SCAN_ENTRIES // (assignment_count(m, n - 2, sign_flips) * 2 * m))
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from bellframes import su2
+from bellframes import optimizer, su2
 from bellframes.montecarlo import FRAME_HAAR, sample_generator
 from bellframes.optimizer import make_candidate_set, random_candidate_set
 
@@ -104,6 +104,51 @@ def exhaustive_scan(ctensor, W, Z):
         best_idx[improved] = vals.argmax(axis=1)[improved] + o1 * K ** (n - 1)
         best[improved] = chunk_best[improved]
     return best, best_idx
+
+
+def prefix_values(ctensor, W, Z, last, o1=slice(None)):
+    """One step of :func:`full_prefix_scan`: the (B, P) values of the
+    prefixes whose party-1 option is in ``o1`` (every option of parties
+    2..n-1, the last party maximized out) and their ``a_i``, ``b_j``
+    (B, m, 2, P), with ``optimizer``'s folds, matmuls and pair table."""
+    B, n, _, K = W.shape
+    m = last.shape[-2]
+    c = 2 if Z is None else 3
+    rows = last[..., :c] * optimizer._ROW_SIGNS[:c]
+    ct = ctensor.reshape(2, -1).T
+    acc = optimizer._fold_parties(ct @ W[:, 0, :, o1], [W[:, k] for k in range(1, n - 1)])
+    parts = [acc.real, acc.imag]
+    if Z is not None:
+        parts.append(optimizer._fold_parties(ct @ Z[:, 0, :, o1],
+                                             [Z[:, k] for k in range(1, n - 1)]))
+    P = acc.shape[-1]
+    ab = (rows @ np.stack(parts, axis=1).reshape(B, c, 2 * P)).reshape(B, m, 2, P)
+    return optimizer._largest_pair_entries(ab, K // (m * (m - 1))), ab
+
+
+def full_prefix_scan(ctensor, W, Z, last):
+    """Reference for ``optimizer.bell_values_over_assignments`` that scores
+    every prefix, not one per symmetry orbit: same arguments, groups of
+    party-1 options, tie rule and winner decode."""
+    B, n, _, K = W.shape
+    m = last.shape[-2]
+    flips = K // (m * (m - 1))
+    group = max(1, min(K, optimizer._batch_frames(m, n, flips > 1) // B))
+    frames = np.arange(B)
+    best = np.full(B, -np.inf)
+    best_prefix = np.zeros(B, dtype=np.int64)
+    best_ab = np.zeros((B, m, 2))
+    for lo in range(0, K, group):
+        per_prefix, ab = prefix_values(ctensor, W, Z, last, slice(lo, lo + group))
+        prefix = per_prefix.argmax(axis=1)
+        chunk_best = per_prefix[frames, prefix]
+        improved = chunk_best > best
+        best[improved] = chunk_best[improved]
+        best_prefix[improved] = lo * K ** (n - 2) + prefix[improved]
+        best_ab[improved] = ab[frames, :, :, prefix][improved]
+    uidx, pidx, psign = optimizer._party_options(m, flips > 1)
+    score = np.abs(best_ab[:, uidx, 0] + psign * best_ab[:, pidx, 1])
+    return best, best_prefix * K + score.argmax(axis=1)
 
 
 def pair_table_max(ab, flips):

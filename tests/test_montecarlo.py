@@ -20,7 +20,14 @@ from bellframes.montecarlo import (
     write_histogram_csv,
     write_summary_json,
 )
-from bellframes.optimizer import _batch_frames, _random_kind_size, make_candidate_set
+from bellframes.optimizer import (
+    _batch_frames,
+    _random_kind_size,
+    make_candidate_set,
+    max_bell_value,
+)
+from bellframes.polynomials import make_polynomial
+from bellframes.su2 import Rotation
 
 
 def small_config(**overrides):
@@ -331,6 +338,31 @@ def test_stderr_formula():
 def test_budget_checked_before_running():
     with pytest.raises(BudgetExceededError):
         run_experiment(small_config(samples=1000, budget=10))
+
+
+def test_counts_cover_every_assignment_though_the_scan_scores_orbits(monkeypatch):
+    # The scan scores one prefix per symmetry orbit, yet evaluations, the
+    # budget and the scan's (B, n, 2, K) tables count all K^n assignments
+    # of a frame, so assignments per frame compare across scan designs.
+    from bellframes import optimizer
+
+    scan = optimizer.bell_values_over_assignments
+    shapes = []
+
+    def spy(ctensor, W, Z, last):
+        shapes.append(W.shape)
+        return scan(ctensor, W, Z, last)
+
+    monkeypatch.setattr(optimizer, "bell_values_over_assignments", spy)
+    per_frame = 84**3
+    config = small_config(candidates="random:7", samples=5, budget=5 * per_frame)
+    assert run_experiment(config).evaluations == 5 * per_frame
+    assert shapes == [(5, 3, 2, 84)]
+    with pytest.raises(BudgetExceededError):
+        run_experiment(replace(config, budget=5 * per_frame - 1))
+    poly = make_polynomial("mermin", 3)
+    candidates = make_candidate_set("random:7", np.random.default_rng(3))
+    assert max_bell_value(poly, [Rotation.identity()] * 3, candidates).evaluations == per_frame
 
 
 def test_invalid_config_rejected():

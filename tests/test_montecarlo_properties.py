@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import quat_multiply
+from oracles import prefix_values, quat_multiply
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -19,7 +19,13 @@ from bellframes.montecarlo import (  # noqa: E402
     run_experiment,
     summary_json,
 )
-from bellframes.optimizer import make_candidate_set, score_frames  # noqa: E402
+from bellframes.optimizer import (  # noqa: E402
+    _channel_tables,
+    _orbit_symmetries,
+    _party_options,
+    make_candidate_set,
+    score_frames,
+)
 from bellframes.polynomials import make_polynomial  # noqa: E402
 from bellframes.su2 import rotate_directions  # noqa: E402
 
@@ -172,3 +178,44 @@ def test_extra_frame_rotation_undone_on_the_candidates_keeps_every_frame_best(
     best, _ = score_frames(ctensor, quats, base, sign_flips)
     moved, _ = score_frames(ctensor, twisted, counter, sign_flips)
     assert np.max(np.abs(moved - best)) <= 1e-12
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 4),
+    tensor=st.sampled_from(["mermin", "mk", "svetlichny", "unprimed-only"]),
+    kind=st.sampled_from(["pauli", "tetrahedron", "random:3", "random:4"]),
+    seed=st.integers(0, 2**32),
+)
+def test_orbit_maps_keep_every_prefix_value_bit_for_bit(n, tensor, kind, seed):
+    # With the last party maximized out, T_k on any one prefix party k,
+    # (i, j, s) -> (j, i, -s), and C on every party, (i, j, s) -> (i, j, -s),
+    # map each prefix to one of the same value bit for bit whenever the
+    # coefficient tensor allows them; so the scan may score one per orbit.
+    rng = np.random.default_rng(seed)
+    base = np.array([[make_candidate_set(kind, rng).directions for _ in range(n)]
+                     for _ in range(3)])
+    quats = rng.standard_normal((3, n, 4))
+    quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+    if tensor == "unprimed-only":
+        ctensor = np.zeros((2,) * n)
+        ctensor[(0,) * n] = 1.0
+    else:
+        ctensor = make_polynomial(tensor, n).coefficient_tensor()
+    dirs = rotate_directions(quats[:, :, None], base)
+    options = _party_options(base.shape[-2], True)
+    values, _ = prefix_values(ctensor, *_channel_tables(dirs, *options), dirs[:, -1])
+    K = len(options[0])
+    values = values.reshape((3,) + (K,) * (n - 1))
+    index = {option: o for o, option in enumerate(zip(*options))}
+    swap = [index[j, i, -s] for i, j, s in zip(*options)]
+    flip = [index[i, j, -s] for i, j, s in zip(*options)]
+    t, c = _orbit_symmetries(ctensor)
+    assert (t, c) != (False, False)
+    for k in range(1, n) if t else ():
+        assert np.take(values, swap, axis=k).tobytes() == values.tobytes()
+    if c:
+        flipped = values
+        for k in range(1, n):
+            flipped = np.take(flipped, flip, axis=k)
+        assert flipped.tobytes() == values.tobytes()

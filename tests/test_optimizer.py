@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ from bellframes.optimizer import (
     _SCAN_ENTRIES,
     CandidateSet,
     _batch_frames,
+    _orbit_representatives,
+    _orbit_symmetries,
     _party_options,
     assignment_count,
     inplane_candidate_set,
@@ -21,6 +24,7 @@ from bellframes.optimizer import (
 from oracles import (
     brute_force_max,
     exhaustive_scan,
+    full_prefix_scan,
     option_rows,
     pair_table_max,
     quat_multiply,
@@ -270,6 +274,84 @@ def test_scan_matches_exhaustive(monkeypatch, kind, n):
                     value, index = score_frames(ctensor, quats, base, sign_flips)
                 assert np.max(np.abs(value - ref_value)) <= 1e-12
                 assert np.array_equal(index, ref_index), (case, sign_flips, bounded)
+
+
+# (kind, n) of the full-prefix comparison: random:7 at n <= 4, random:3 at
+# n = 5, where random:7's full scan would take seconds per frame.
+ORBIT_CASES = [(kind, n) for n in range(2, 6)
+               for kind in ("pauli", "tetrahedron", "tetrahedron-z",
+                            "random:7" if n < 5 else "random:3")]
+
+
+@pytest.mark.parametrize("kind,n", ORBIT_CASES)
+def test_orbit_scan_matches_the_full_prefix_scan(monkeypatch, kind, n):
+    # Scoring one prefix per symmetry orbit gives the best bytes and flat
+    # indices of scoring every prefix, with the full scan's tie rule: frame 0
+    # is unrotated (Pauli ties exactly), frame 1 gives every party one
+    # rotation, and the unprimed-only tensor ties in every primed setting.
+    # A random dyadic tensor has neither symmetry, and 0.7 MK (T-symmetric,
+    # not dyadic) keeps no T, so the full scan stays.
+    # Scored with _SCAN_ENTRIES at its default, at 64 and at 1.
+    from bellframes import optimizer
+
+    rng = np.random.default_rng([n, ORBIT_CASES.index((kind, n))])
+    base = np.array([[make_candidate_set(kind, rng).directions for _ in range(n)]
+                     for _ in range(4)])
+    quats = rng.standard_normal((4, n, 4))
+    quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+    quats[0] = [1.0, 0.0, 0.0, 0.0]
+    quats[1] = quats[1, 0].copy()
+    unprimed_only = np.zeros((2,) * n)
+    unprimed_only[(0,) * n] = 1.0
+    dyadic = rng.integers(-4, 5, (2,) * n) / 8.0
+    tensors = [bp.make_polynomial(f, n).coefficient_tensor() for f in bp.FAMILIES]
+    for case, ctensor in enumerate(tensors + [unprimed_only, dyadic, 0.7 * tensors[1]]):
+        for sign_flips, entries in itertools.product((True, False), (_SCAN_ENTRIES, 64, 1)):
+            with monkeypatch.context() as patch:
+                patch.setattr(optimizer, "_SCAN_ENTRIES", entries)
+                best, index = score_frames(ctensor, quats, base, sign_flips)
+                patch.setattr(optimizer, "bell_values_over_assignments", full_prefix_scan)
+                ref_best, ref_index = score_frames(ctensor, quats, base, sign_flips)
+            assert best.tobytes() == ref_best.tobytes(), (case, sign_flips, entries)
+            assert np.array_equal(index, ref_index), (case, sign_flips, entries)
+
+
+def test_orbit_symmetries_read_off_the_coefficient_tensor():
+    # T (T_k T_n for every prefix party k) holds for every family; C (all
+    # prime counts of one parity) for Mermin and odd-n MK only.
+    for family in bp.FAMILIES:
+        for n in range(2, 9):
+            c = family == "mermin" or (family == "mk" and n % 2 == 1)
+            assert _orbit_symmetries(bp.make_polynomial(family, n).coefficient_tensor()) == (
+                True, c), (family, n)
+    # The all-unprimed term alone: C holds (it has no primed setting), T not.
+    unprimed_only = np.zeros((2,) * 3)
+    unprimed_only[0, 0, 0] = 1.0
+    assert _orbit_symmetries(unprimed_only) == (False, True)
+    dyadic = np.random.default_rng(5).integers(-4, 5, (2,) * 4) / 8.0
+    assert _orbit_symmetries(dyadic) == (False, False)
+    # Symmetric, but T would swap inexact products: C only.
+    assert _orbit_symmetries(0.7 * bp.mermin_polynomial(3).coefficient_tensor()) == (False, True)
+
+
+def test_orbit_representatives_keep_one_option_per_orbit():
+    # m = 4, n = 4: with T, parties 2..n-1 keep the options with i < j; with
+    # C, party 1 keeps those with primed sign + too. Without sign flips, all.
+    uidx, pidx, psign = _party_options(4, True)
+    everything, plus = np.arange(len(uidx)), np.flatnonzero(psign > 0)
+    i_lt_j = np.flatnonzero(uidx < pidx)
+    mermin, svetlichny = (bp.make_polynomial(f, 4).coefficient_tensor()
+                          for f in ("mermin", "svetlichny"))
+    unprimed_only = np.zeros((2,) * 4)
+    unprimed_only[(0,) * 4] = 1.0
+    unsigned = np.arange(len(uidx) // 2)
+    cases = [(mermin, True, np.intersect1d(i_lt_j, plus), i_lt_j),
+             (svetlichny, True, i_lt_j, i_lt_j),
+             (unprimed_only, True, plus, everything),
+             (mermin, False, unsigned, unsigned)]
+    for ctensor, sign_flips, first, rest in cases:
+        got = _orbit_representatives(4, sign_flips, 4, ctensor.tobytes())
+        assert [r.tolist() for r in got] == [first.tolist(), rest.tolist()]
 
 
 # sha256 over score_frames' best bytes and int64 flat indices, for a seeded
