@@ -53,32 +53,35 @@ the other ``s`` no more. Results are deterministic.
 
 Symmetry orbits. With sign flips, option ``(i, j, s)`` of party k sets
 ``A = d_i`` and ``A' = s d_j``. ``T_k``, ``(i, j, s) -> (j, i, -s)``, maps
-``(A, A')`` to ``s (A', -A)``; every family is ``Re(u prod_k (a_k +
-i a'_k)) / 2^e``, so ``T_k`` multiplies party k's factor by ``-i s`` and
-``T_k T_n`` keeps ``|sum|``. ``C``, ``(i, j, s) -> (i, j, -s)`` on every
-party, multiplies a term with p primed settings by ``(-1)^p``. The scan maximizes over every option of the last
-party, which ``T_n`` and ``C`` map onto themselves, so a prefix's value is
-unchanged by ``T_k`` on any prefix party when ``T_k T_n`` maps the
-coefficient tensor to +-itself, and by ``C`` when ``C`` does (every nonzero
-coefficient's prime count has one parity). :func:`_orbit_symmetries` reads
-both off the tensor, not off a family name: T holds for every family, C
-for Mermin and odd-n MK. The scan then scores only the lexicographically
-earliest prefix of each orbit: parties 1..n-1 keep the options with
-``i < j`` (T) and party 1 also keeps primed sign + (C), 2^(n-1) or 2^n
-times fewer prefixes. Without sign flips, or for a tensor with neither
-symmetry, every prefix is scored.
+``(A, A')`` to ``s (A', -A)``; ``C``, ``(i, j, s) -> (i, j, -s)`` on every
+party, flips every primed sign. The scan maximizes over every option of the
+last party, which ``T_n`` and ``C`` map onto themselves, so one rule covers
+both: a map M of the prefix parties (``T_k`` on one of them, or ``C`` on
+all) keeps every prefix's value when M, or M followed by ``T_n``, maps the
+coefficient tensor to +-itself. :func:`_orbit_symmetries` applies it to the
+tensor, not to a family name. Every family is ``Re(u prod_k (a_k +
+i a'_k)) / 2^e``: ``T_k`` multiplies party k's factor by ``-i s``, so
+``T_k T_n`` keeps ``|sum|``, and ``C`` takes ``u`` to ``conj(u)``, so
+``C T_n`` multiplies ``u`` by ``-i conj(u) / u``, which is +-1 exactly for
+Svetlichny and even-n MK (``C`` alone keeps ``u`` for Mermin and odd-n
+MK). So every family gets T and C, and the scan scores only the
+lexicographically earliest prefix of each orbit: parties 1..n-1 keep the
+options with ``i < j`` and party 1 also keeps primed sign +, 2^n times
+fewer prefixes. Without sign flips, or for a tensor with neither symmetry,
+every prefix is scored.
 
 The earliest-index tie rule and every bit survive because an orbit's
 prefixes round to the same value. A map turns a party's table pair
 ``(u, p)`` into ``s (p, -u)`` or ``(u, -p)``: negations, exact. Under a
 tensor symmetry the coefficients the mapped pair meets are +- the ones the
-original met. T also needs ``ct``'s entries to be 0 or +-2^-e (every
-family's are), so that party 1's products are exact and its two-term sums
-round once in either order, whatever the BLAS kernel; each fold adds two
-products, and ``fl(x + y) = fl(y + x)``, ``fl(-x) = -fl(x)``. So
-every partial sum of the mapped prefix is +- one of the original's, and so
-are the last party's coefficients, possibly swapped between its unprimed
-and primed channels. ``rows @ parts`` then gives its ``a_i``, ``b_j`` as
+original met. A branch with a T (``T_k``, or the ``T_n`` after ``C``) also
+needs ``ct``'s entries to be 0 or +-2^-e (every family's are), so that
+party 1's products are exact and its two-term sums round once in either
+order, whatever the BLAS kernel; each fold adds two products, and
+``fl(x + y) = fl(y + x)``, ``fl(-x) = -fl(x)``. So every partial sum of
+the mapped prefix is +- one of the original's, and so are the last
+party's coefficients, possibly swapped between its unprimed and primed
+channels. ``rows @ parts`` then gives its ``a_i``, ``b_j`` as
 +- the original's ``b_i``, ``a_j`` (every column with the same kernel,
 which the tests check), so its pair table is the original's transposed and
 up to signs, with the same largest entry. ``tests/oracles.py`` keeps the
@@ -297,23 +300,27 @@ def _largest_pair_entries(ab, flips):
 def _orbit_symmetries(ctensor):
     """Whether the scan may keep one prefix per orbit of T and of C.
 
-    T: ``T_k T_n`` (``T_k`` swaps party k's settings, ``(A, A') -> (A', -A)``)
-    maps the coefficient tensor to exactly +-itself for every prefix party
-    k, and every nonzero coefficient is +- a power of two: T swaps the two
-    products of party 1's sums, which keep their bits only when exact.
-    C: flipping every primed sign maps the tensor to +-itself, that is
-    every nonzero coefficient's prime count has the same parity.
+    One rule: a prefix map M, ``T_k`` on prefix party k (``(A, A') ->
+    (A', -A)``, a flip of axis k up to signs) or C (every primed sign
+    flipped), is granted when M, or M followed by ``T_n``, maps the
+    coefficient tensor to exactly +-itself. T is granted when every
+    ``T_k`` is. A branch with a T also needs every nonzero coefficient to
+    be +- a power of two: T swaps a party's two channels, and their
+    products keep their bits only when exact. Every family passes both:
+    in the product form ``C T_n`` multiplies ``u`` by ``-i conj(u) / u``,
+    +-1 exactly for Svetlichny and even-n MK, where ``C`` alone fails.
     """
-    n = ctensor.ndim
     bits = np.indices(ctensor.shape)
-
-    def symmetric(mapped):
-        return np.array_equal(mapped, ctensor) or np.array_equal(mapped, -ctensor)
-
-    t = all(symmetric(np.flip(ctensor, (k, n - 1)) * (-1.0) ** (bits[k] + bits[n - 1]))
-            for k in range(n - 1))
     dyadic = np.all(np.abs(np.frexp(ctensor[ctensor != 0])[0]) == 0.5)
-    return t and dyadic, symmetric((-1.0) ** bits.sum(axis=0) * ctensor)
+
+    def granted(axes, parity):  # M flips ``axes`` and signs entries by (-1)^parity
+        maps = ((axes, parity), (axes + (-1,), parity + bits[-1]))  # M; M then T_n
+        # Only a dyadic tensor may take the T_n branch; ``t`` asks it of T_k too.
+        return any(np.array_equal(np.flip(ctensor, a) * (-1.0) ** p, s * ctensor)
+                   for a, p in (maps if dyadic else maps[:1]) for s in (1, -1))
+
+    t = dyadic and all(granted((k,), bits[k]) for k in range(ctensor.ndim - 1))
+    return t, granted((), bits.sum(axis=0))
 
 
 @functools.lru_cache(maxsize=None)

@@ -197,13 +197,9 @@ class BoundsTable:
 
 
 def _sep_membership_bound(n: int, m: int) -> float:
-    # A fully local model (m = n groups) is bounded by the lhv bound itself;
-    # the closed-form odd-n exponent is only valid for coarser partitions.
-    if m >= n:
-        return LHV_BOUND
-    if n % 2 == 0:
-        return 2.0 ** ((n - m) / 2)
-    return 2.0 ** ((n - m - 1) / 2)
+    # 2^((n-m)/2) at even n, 2^((n-m-1)/2) at odd n; a fully local model
+    # (m >= n groups) is bounded by the lhv bound itself.
+    return max(LHV_BOUND, 2.0 ** ((n - m - n % 2) / 2))
 
 
 def bounds_table(n: int, family: str) -> BoundsTable:

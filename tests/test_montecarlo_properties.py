@@ -96,6 +96,24 @@ def test_merge_of_disjoint_ranges_equals_single_run(config, data):
 
 
 @PROPERTY
+@given(configs, st.data())
+def test_merge_is_associative_over_three_disjoint_ranges(config, data):
+    config = replace(config, samples=max(config.samples, 3))
+    cut = data.draw(st.integers(1, config.samples - 2), label="cut")
+    cut2 = data.draw(st.integers(cut + 1, config.samples - 1), label="cut2")
+    a, b, c = (run_experiment(replace(config, samples=hi - lo,
+                                      sample_offset=config.sample_offset + lo))
+               for lo, hi in ((0, cut), (cut, cut2), (cut2, config.samples)))
+    full = run_experiment(config)
+    for merged in (merge_results(merge_results(a, b), c), merge_results(a, merge_results(b, c))):
+        assert merged.config == full.config
+        assert np.array_equal(merged.sample_indices, full.sample_indices)
+        assert np.array_equal(merged.values, full.values)
+        assert (merged.histogram, merged.bounds, merged.evaluations) == (
+            full.histogram, full.bounds, full.evaluations)
+
+
+@PROPERTY
 @given(
     n=st.integers(2, 4),
     family=st.sampled_from(["mermin", "mk", "svetlichny"]),

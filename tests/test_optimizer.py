@@ -317,21 +317,23 @@ def test_orbit_scan_matches_the_full_prefix_scan(monkeypatch, kind, n):
 
 
 def test_orbit_symmetries_read_off_the_coefficient_tensor():
-    # T (T_k T_n for every prefix party k) holds for every family; C (all
-    # prime counts of one parity) for Mermin and odd-n MK only.
+    # One rule, M or M T_n maps the tensor to +-itself, grants T (M = T_k)
+    # and C (M = every primed sign flipped) to every family.
     for family in bp.FAMILIES:
         for n in range(2, 9):
-            c = family == "mermin" or (family == "mk" and n % 2 == 1)
             assert _orbit_symmetries(bp.make_polynomial(family, n).coefficient_tensor()) == (
-                True, c), (family, n)
+                True, True), (family, n)
     # The all-unprimed term alone: C holds (it has no primed setting), T not.
     unprimed_only = np.zeros((2,) * 3)
     unprimed_only[0, 0, 0] = 1.0
     assert _orbit_symmetries(unprimed_only) == (False, True)
     dyadic = np.random.default_rng(5).integers(-4, 5, (2,) * 4) / 8.0
     assert _orbit_symmetries(dyadic) == (False, False)
-    # Symmetric, but T would swap inexact products: C only.
+    # Symmetric, but T would swap inexact products: C alone holds for
+    # Mermin-3, and Svetlichny-3 and MK-4 need C T_n, which a T bars.
     assert _orbit_symmetries(0.7 * bp.mermin_polynomial(3).coefficient_tensor()) == (False, True)
+    for scaled in (bp.svetlichny_polynomial(3), bp.mk_polynomial(4)):
+        assert _orbit_symmetries(0.7 * scaled.coefficient_tensor()) == (False, False)
 
 
 def test_orbit_representatives_keep_one_option_per_orbit():
@@ -346,7 +348,7 @@ def test_orbit_representatives_keep_one_option_per_orbit():
     unprimed_only[(0,) * 4] = 1.0
     unsigned = np.arange(len(uidx) // 2)
     cases = [(mermin, True, np.intersect1d(i_lt_j, plus), i_lt_j),
-             (svetlichny, True, i_lt_j, i_lt_j),
+             (svetlichny, True, np.intersect1d(i_lt_j, plus), i_lt_j),
              (unprimed_only, True, plus, everything),
              (mermin, False, unsigned, unsigned)]
     for ctensor, sign_flips, first, rest in cases:

@@ -166,6 +166,32 @@ def test_evaluate_invariant_under_party_sign_flip():
 
 
 @pytest.mark.parametrize("family", bp.FAMILIES)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bell_sum_in_product_form(family, n):
+    # Every family is Re(u prod_k (a_k + i a'_k)) / 2^e, so u / 2^e is
+    # c_0 - i c_1 (no primed setting; party 1's alone). The GHZ correlator is
+    # Re prod_k w_k [+ prod_k z_k at even n], w = d_x + i d_y and z = d_z of
+    # each party's setting, so the Bell sum is
+    # Re(u/2^e (prod p_k + prod q_k)) / 2 [+ Re(u/2^e prod r_k)], with
+    # p_k = w_k + i w'_k, q_k = conj(w_k) + i conj(w'_k), r_k = z_k + i z'_k.
+    poly = bp.make_polynomial(family, n)
+    coeff = dict(poly.terms)
+    u = float(coeff.get(0, 0)) - 1j * float(coeff.get(1, 0))
+    rng = np.random.default_rng([n, bp.FAMILIES.index(family)])
+    for _ in range(5):
+        d = rng.standard_normal((n, 2, 3))
+        d /= np.linalg.norm(d, axis=-1, keepdims=True)
+        w, z = d[..., 0] + 1j * d[..., 1], d[..., 2]
+        p, q = w[:, 0] + 1j * w[:, 1], w[:, 0].conj() + 1j * w[:, 1].conj()
+        r = z[:, 0] + 1j * z[:, 1]
+        s = (u * (p.prod() + q.prod())).real / 2 + (n % 2 == 0) * (u * r.prod()).real
+        obs = [[su2.observable_matrix(v) for v in party] for party in d]
+        value = poly.evaluate(
+            lambda mask: su2.ghz_correlator([obs[k][(mask >> k) & 1] for k in range(n)]))
+        assert abs(abs(s) - value) <= 1e-14, (family, n)
+
+
+@pytest.mark.parametrize("family", bp.FAMILIES)
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_lhv_deterministic_max_is_exactly_one(family, n):
     assert bp.lhv_deterministic_max(bp.make_polynomial(family, n)) == 1.0
