@@ -44,8 +44,7 @@ print("equality only at Theta = pi/4 (mod pi/2).")
 
 print()
 print(f"=== svetlichny-{N}: nonseparability with certainty ===")
-worst = min(rst.best_value("svetlichny", N, 2.0 * math.pi * k / 1000)
-            for k in range(1000))
+worst = rst.best_value("svetlichny", N, 2.0 * math.pi * np.arange(1000) / 1000).min()
 print(f"min over 1000 angles of the two-strategy maximum = {worst:.6f}")
 print(f"threshold for complete nonseparability: > {1.0:.1f} "
       "(met with equality only at isolated angles)")

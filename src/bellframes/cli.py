@@ -122,22 +122,21 @@ def cmd_sweep(args) -> int:
     if args.grid < 1:
         print("error: grid must be >= 1", file=sys.stderr)
         return 2
-    thetas = [2.0 * math.pi * k / args.grid for k in range(args.grid)]
+    # Bit-equal to 2.0 * math.pi * k / grid per k.
+    thetas = 2.0 * math.pi * np.arange(args.grid) / args.grid
     # Party 1 turns by theta about z (restricted.z_rotation); the others hold still.
     quats = np.zeros((args.grid, args.n, 4))
     quats[:, :, 0] = 1.0
-    quats[:, 0, ::3] = [(math.cos(theta / 2.0), math.sin(theta / 2.0)) for theta in thetas]
+    half = (thetas / 2.0).tolist()
+    quats[:, 0, 0] = list(map(math.cos, half))
+    quats[:, 0, 3] = list(map(math.sin, half))
     best, _ = score_frames(poly.coefficient_tensor(), quats, candidates.directions)
-    rows = []
-    for theta, optimizer_max in zip(thetas, best):
-        primary = restricted.strategy_value(args.family, args.n, theta,
-                                            restricted.STRATEGY_PRIMARY)
-        swapped = restricted.strategy_value(args.family, args.n, theta,
-                                            restricted.STRATEGY_SWAPPED)
-        rows.append((theta, primary, swapped, max(primary, swapped), optimizer_max))
+    primary = restricted.strategy_value(args.family, args.n, thetas, restricted.STRATEGY_PRIMARY)
+    swapped = restricted.strategy_value(args.family, args.n, thetas, restricted.STRATEGY_SWAPPED)
+    rows = np.column_stack((thetas, primary, swapped, np.maximum(primary, swapped), best))
     path = args.out / "sweep.csv"
     write_lf(path, csv_document(
-        ("theta", "primary", "swapped", "analytic_max", "optimizer_max"), rows))
+        ("theta", "primary", "swapped", "analytic_max", "optimizer_max"), rows.tolist()))
     print(f"wrote {path}")
     return 0
 

@@ -38,6 +38,7 @@ has zero norm (measure zero).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import struct
@@ -277,9 +278,7 @@ def _build_result(config, indices, values, per_sample) -> ExperimentResult:
     edges = np.arange(nbins + 1) * config.bin_width
     which = np.clip(np.digitize(values, edges) - 1, 0, nbins - 1)
     counts = np.bincount(which, minlength=nbins)
-    histogram = tuple(
-        (float(edges[i]), float(edges[i + 1]), int(counts[i])) for i in range(nbins)
-    )
+    histogram = tuple(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
 
     lhv_prob = float(np.mean(values > table.lhv_bound + CROSSING_TOL))
     crossings = []
@@ -331,17 +330,26 @@ def merge_results(a: ExperimentResult, b: ExperimentResult) -> ExperimentResult:
     return _build_result(merged_config, indices[order], values[order], per_sample)
 
 
-def _fmt_value(v) -> str:
-    """One value of an output file: a float with 17 significant digits
-    (enough to round-trip any double exactly), a bool as JSON's
-    ``true``/``false``, an int as ``%d``, a list as objects (iterables of
-    ``(key, value)`` pairs) one per line, and a string as a JSON string."""
+def _number_format(v):
+    """The ``%`` format of a number in an output file: ``%.17g`` for a float
+    (``np.float64`` included; 17 significant digits round-trip any double
+    exactly) and ``%d`` for an int; ``None`` for anything else, bools included."""
     if isinstance(v, float):
-        return "%.17g" % v
-    if isinstance(v, bool):  # before int: bool is a subclass of int
+        return "%.17g"
+    if isinstance(v, int) and not isinstance(v, bool):
+        return "%d"
+    return None
+
+
+def _fmt_value(v) -> str:
+    """One value of an output file: a number by :func:`_number_format`, a
+    bool as JSON's ``true``/``false``, a list as objects (iterables of
+    ``(key, value)`` pairs) one per line, and a string as a JSON string."""
+    fmt = _number_format(v)
+    if fmt:
+        return fmt % v
+    if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, int):
-        return "%d" % v
     if isinstance(v, list):
         return "[\n" + ",\n".join("    {" + _json_pairs(obj, ", ") + "}" for obj in v) + "\n  ]"
     return json.dumps(v)
@@ -358,9 +366,17 @@ def json_document(fields) -> str:
 
 
 def csv_document(header, rows) -> str:
-    """A CSV document: the ``header`` names, then one line of values per row."""
-    lines = [",".join(header), *(",".join(map(_fmt_value, row)) for row in rows)]
-    return "\n".join(lines) + "\n"
+    """A CSV document: the ``header`` names, then one line of values per row.
+
+    ``rows`` is a sequence of rows of floats and ints, each column of one
+    type; the first row's types give the line format (:func:`_number_format`),
+    and one ``%`` formats the whole table.
+    """
+    head = ",".join(header) + "\n"
+    if not len(rows):
+        return head
+    line = ",".join(map(_number_format, rows[0])) + "\n"
+    return head + (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
 
 
 def write_lf(path, text: str) -> None:

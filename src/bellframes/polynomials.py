@@ -6,7 +6,7 @@ is set when party ``k`` contributes its primed setting ``A'_k``; every party
 contributes exactly one operator to every term. Coefficients are exact
 dyadic rationals (``fractions.Fraction``), so construction is drift-free and
 polynomial-identity checks are exact; they are converted to floats only when
-a polynomial is evaluated.
+a polynomial is scored or bounded.
 
 Every family comes from one rule. Write ``a_t`` for the product that takes
 ``A'_k`` where bit ``k-1`` of ``t`` is set and ``A_k`` elsewhere, and ``|t|``
@@ -65,18 +65,6 @@ class BellPolynomial:
     n: int
     family: str
     terms: tuple[tuple[int, Fraction], ...]
-
-    def evaluate(self, expectations) -> float:
-        """Bell value ``|sum_t coeff_t * E(mask_t)|``.
-
-        ``expectations`` maps a prime mask to the expectation value of the
-        corresponding product of settings, either as a mapping or a callable.
-        """
-        get = expectations if callable(expectations) else expectations.__getitem__
-        total = 0.0
-        for mask, coeff in self.terms:
-            total += float(coeff) * get(mask)
-        return abs(total)
 
     def algebraic_max(self) -> float:
         """Sum of absolute coefficients: the largest conceivable Bell value."""

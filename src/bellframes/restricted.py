@@ -48,6 +48,8 @@ from __future__ import annotations
 import functools
 import math
 
+import numpy as np
+
 from .polynomials import FAMILY_MERMIN, FAMILY_MK, _check_family, make_polynomial
 from .su2 import Rotation, X_AXIS, Y_AXIS
 
@@ -70,31 +72,37 @@ def _check_strategy(strategy: str) -> None:
 def _phasor(family: str, n: int) -> complex:
     """:meth:`BellPolynomial.ghz_phasor`, cached: building a polynomial and its phasor
     takes 7-260 us for n = 2..8 (one Xeon core), a cached call 0.1 us, and
-    :func:`strategy_value` runs twice per sweep point."""
+    scalar callers of :func:`strategy_value` (demos, tests) call it once per angle."""
     return make_polynomial(family, n).ghz_phasor()
 
 
-def strategy_value(family: str, n: int, theta_total, strategy: str) -> float:
+def strategy_value(family: str, n: int, theta_total, strategy: str):
     """Closed-form Bell value of one family under one strategy.
 
     ``|Re(e^{i Theta} g)|`` for ``primary`` and ``|Im(e^{i Theta} g)|`` for
     ``swapped``, with ``g`` the polynomial's GHZ phasor (module docstring).
+    ``theta_total`` is one angle, giving a float, or an array of angles,
+    giving an array of the same shape, bit for bit the per-angle floats:
+    the cosines and sines come from :func:`math.cos` and :func:`math.sin`.
     """
     _check_strategy(strategy)
     g = _phasor(family, n)
-    theta = float(theta_total)
-    c, s = math.cos(theta), math.sin(theta)
+    theta = np.asarray(theta_total, dtype=float)
+    angles = theta.ravel().tolist()
+    c = np.fromiter(map(math.cos, angles), float, len(angles)).reshape(theta.shape)
+    s = np.fromiter(map(math.sin, angles), float, len(angles)).reshape(theta.shape)
     if strategy == STRATEGY_PRIMARY:
-        return abs(g.real * c - g.imag * s)
-    return abs(g.real * s + g.imag * c)
+        value = np.abs(g.real * c - g.imag * s)
+    else:
+        value = np.abs(g.real * s + g.imag * c)
+    return value if theta.ndim else float(value)
 
 
-def best_value(family: str, n: int, theta_total) -> float:
-    """Best of the two strategies for one family."""
-    return max(
-        strategy_value(family, n, theta_total, STRATEGY_PRIMARY),
-        strategy_value(family, n, theta_total, STRATEGY_SWAPPED),
-    )
+def best_value(family: str, n: int, theta_total):
+    """Best of the two strategies for one family, per angle as :func:`strategy_value`."""
+    value = np.maximum(strategy_value(family, n, theta_total, STRATEGY_PRIMARY),
+                       strategy_value(family, n, theta_total, STRATEGY_SWAPPED))
+    return value if np.ndim(theta_total) else float(value)
 
 
 def strategy_settings(family: str, n: int, strategy: str):

@@ -19,6 +19,19 @@ def quat_multiply(a, b):
     return su2.Rotation(float(w), float(v[0]), float(v[1]), float(v[2]))
 
 
+def evaluate(poly, expectations):
+    """Bell value ``|sum_t coeff_t * E(mask_t)|`` of ``poly``, term by term.
+
+    ``expectations`` maps a prime mask to the expectation value of the
+    corresponding product of settings, either as a mapping or a callable.
+    """
+    get = expectations if callable(expectations) else expectations.__getitem__
+    total = 0.0
+    for mask, coeff in poly.terms:
+        total += float(coeff) * get(mask)
+    return abs(total)
+
+
 def signed_observable(rotation, direction):
     """Observable for a possibly sign-carrying direction in the rotated frame."""
     d = np.asarray(direction, dtype=float)
@@ -67,7 +80,7 @@ def brute_force_max(poly, rotations, directions, sign_flips=True, unprimed_signs
         for k, (i, j, a, b) in enumerate(combo):
             obs.append((a * su2.observable_matrix(eff[k][i]),
                         b * su2.observable_matrix(eff[k][j])))
-        value = poly.evaluate(lambda mask: su2.ghz_correlator(
+        value = evaluate(poly, lambda mask: su2.ghz_correlator(
             [obs[k][1] if (mask >> k) & 1 else obs[k][0] for k in range(n)]))
         best = max(best, value)
     return best
@@ -182,7 +195,7 @@ def restricted_exact_value(poly, thetas, settings):
         for (a, ap), r in zip(settings, rots)
     ]
     n = poly.n
-    return poly.evaluate(lambda mask: su2.ghz_correlator(
+    return evaluate(poly, lambda mask: su2.ghz_correlator(
         [obs[k][1] if (mask >> k) & 1 else obs[k][0] for k in range(n)]))
 
 

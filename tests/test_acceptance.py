@@ -26,7 +26,7 @@ from bellframes.optimizer import (
     make_candidate_set,
     max_bell_value,
 )
-from oracles import restricted_exact_value
+from oracles import evaluate, restricted_exact_value
 
 IDENT = su2.Rotation.identity()
 SEED = 20_260_808
@@ -97,7 +97,7 @@ def test_c1d_inplane_optimal_values():
         obs = [(su2.observable_matrix(cs.directions[i]),
                 s * su2.observable_matrix(cs.directions[j]))
                for i, j, s in outcome.assignment]
-        return poly.evaluate(lambda mask: su2.ghz_correlator(
+        return evaluate(poly, lambda mask: su2.ghz_correlator(
             [obs[k][1] if (mask >> k) & 1 else obs[k][0] for k in range(n)]))
 
     ok = (

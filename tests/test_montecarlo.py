@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import sample_frames
+from oracles import evaluate, sample_frames
 
 from bellframes import montecarlo
 from bellframes.montecarlo import (
@@ -412,7 +412,7 @@ def test_values_dominate_any_fixed_assignment():
             eff = [su2.rotate_direction(rots[k], d) for d in cs.directions]
             obs.append((su2.observable_matrix(eff[i]),
                         sign * su2.observable_matrix(eff[j])))
-        value = poly.evaluate(lambda mask: su2.ghz_correlator(
+        value = evaluate(poly, lambda mask: su2.ghz_correlator(
             [obs[k][1] if (mask >> k) & 1 else obs[k][0] for k in range(config.n)]))
         assert res.values[b] >= value - 1e-12
 

@@ -1,5 +1,5 @@
-"""Property tests of the Monte Carlo summary and merge and of the frame
-score's GHZ symmetries and frame covariance (need hypothesis)."""
+"""Property tests of the Monte Carlo summary, merge and CSV writer and of
+the frame score's GHZ symmetries and frame covariance (need hypothesis)."""
 
 import json
 import math
@@ -10,11 +10,13 @@ import pytest
 from oracles import prefix_values, quat_multiply
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bellframes.montecarlo import (  # noqa: E402
     ExperimentConfig,
+    _fmt_value,
+    csv_document,
     merge_results,
     run_experiment,
     summary_json,
@@ -44,6 +46,34 @@ configs = st.builds(
     sample_offset=st.integers(0, 10**6),
     frame_measure=st.sampled_from(["haar", "uniform-angle"]),
 )
+
+
+# The float edge cases: signed zeros and infinities, nan, subnormals and
+# the largest magnitudes.
+EDGE_FLOATS = (-0.0, 0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-320, 2.2250738585072014e-308,
+               1e308, -1.7976931348623157e308)
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+COLUMNS = {"float": floats, "np.float64": floats.map(np.float64),
+           "int": st.integers(-(2**70), 2**70)}
+tables = st.lists(st.sampled_from(sorted(COLUMNS)), min_size=1, max_size=5).flatmap(
+    lambda kinds: st.tuples(st.just(kinds),
+                            st.lists(st.tuples(*(COLUMNS[k] for k in kinds)), max_size=12)))
+
+
+@PROPERTY
+@given(tables)
+@example((["float"], []))
+@example((["float", "np.float64", "int"],
+          [(x, np.float64(x), k) for k, x in enumerate(EDGE_FLOATS)]))
+def test_csv_document_formats_every_value_as_fmt_value(table):
+    # One % over the table writes what one _fmt_value per value wrote.
+    kinds, rows = table
+    header = [f"{kind}_{i}" for i, kind in enumerate(kinds)]
+    lines = [",".join(header), *(",".join(map(_fmt_value, row)) for row in rows)]
+    expected = "\n".join(lines) + "\n"
+    assert csv_document(header, rows) == expected
+    if "int" not in kinds:
+        assert csv_document(header, np.array(rows, dtype=float)) == expected
 
 
 @pytest.mark.parametrize("measure", ["haar", "uniform-angle"])

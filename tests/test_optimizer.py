@@ -23,6 +23,7 @@ from bellframes.optimizer import (
 )
 from oracles import (
     brute_force_max,
+    evaluate,
     exhaustive_scan,
     full_prefix_scan,
     option_rows,
@@ -144,7 +145,7 @@ def test_m3_identity_pauli_reaches_two():
     eff = [su2.rotate_direction(IDENT, d) for d in make_candidate_set("pauli").directions]
     obs = [(su2.observable_matrix(eff[i]), s * su2.observable_matrix(eff[j]))
            for i, j, s in out.assignment]
-    value = bp.mermin_polynomial(3).evaluate(lambda mask: su2.ghz_correlator(
+    value = evaluate(bp.mermin_polynomial(3), lambda mask: su2.ghz_correlator(
         [obs[k][1] if (mask >> k) & 1 else obs[k][0] for k in range(3)]))
     assert abs(value - out.bell_value) < 1e-12
 

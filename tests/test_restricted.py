@@ -174,3 +174,33 @@ def test_unknown_family_or_strategy_rejected():
         rst.strategy_value("chsh", 3, 0.1, rst.STRATEGY_PRIMARY)
     with pytest.raises(ValueError):
         rst.strategy_value("mermin", 3, 0.1, "diagonal")
+
+
+@pytest.mark.parametrize("family", bp.FAMILIES)
+@pytest.mark.parametrize("n", range(2, bp.MAX_PARTIES + 1))
+def test_array_of_angles_gives_the_per_angle_floats_bit_for_bit(family, n):
+    # The sweep's grid (2 pi k / grid, built as an array), negative angles and
+    # angles above 2 pi. Each scalar call returns a float equal to the
+    # per-angle closed form in Python floats; the array call gives the same bytes.
+    grid = 1009
+    sweep = 2.0 * math.pi * np.arange(grid) / grid
+    assert sweep.tolist() == [2.0 * math.pi * k / grid for k in range(grid)]
+    thetas = np.concatenate([sweep, -np.linspace(0.0, 40.0, 97), np.linspace(6.3, 1e4, 97)])
+    g = rst._phasor(family, n)
+    closed = {
+        rst.STRATEGY_PRIMARY: lambda t: abs(g.real * math.cos(t) - g.imag * math.sin(t)),
+        rst.STRATEGY_SWAPPED: lambda t: abs(g.real * math.sin(t) + g.imag * math.cos(t)),
+    }
+    per_angle = {}
+    for strategy in rst.STRATEGIES:
+        scalars = [rst.strategy_value(family, n, t, strategy) for t in thetas.tolist()]
+        assert all(type(v) is float for v in scalars)
+        assert scalars == [closed[strategy](t) for t in thetas.tolist()]
+        values = rst.strategy_value(family, n, thetas, strategy)
+        assert values.tobytes() == np.array(scalars).tobytes()
+        shaped = rst.strategy_value(family, n, thetas[:-3].reshape(2, -1, 3), strategy)
+        assert shaped.tobytes() == values[:-3].tobytes()
+        per_angle[strategy] = scalars
+    best = [rst.best_value(family, n, t) for t in thetas.tolist()]
+    assert best == [max(p, s) for p, s in zip(*per_angle.values())]
+    assert rst.best_value(family, n, thetas).tobytes() == np.array(best).tobytes()
