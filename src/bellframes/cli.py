@@ -36,6 +36,9 @@ from .optimizer import (FIXED_KINDS, inplane_candidate_set, make_candidate_set, 
 from .polynomials import FAMILIES, MAX_PARTIES, bounds_table, make_polynomial
 
 _STATEVECTOR_SEED = 20_260_808
+# Sweep grid points a run may ask for. A point costs about 0.6 KB of peak
+# memory at n = MAX_PARTIES, so a sweep at the cap peaks near 0.65 GB.
+MAX_GRID = 10**6
 
 
 def _out_dir(value: str) -> Path:
@@ -75,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--n", type=int, required=True, choices=range(2, MAX_PARTIES + 1))
     sweep.add_argument("--family", required=True, choices=FAMILIES)
     sweep.add_argument("--grid", type=int, required=True,
-                       help="number of total-angle grid points over [0, 2pi), "
+                       help=f"number of total-angle grid points over [0, 2pi), 1 to {MAX_GRID}, "
                             "scored in chunks sized to bound each scan step's memory")
     sweep.add_argument("--out", type=_out_dir, required=True, help="output directory")
 
@@ -117,11 +120,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if not 1 <= args.grid <= MAX_GRID:
+        print(f"error: grid must be in [1, {MAX_GRID}]", file=sys.stderr)
+        return 2
     candidates = inplane_candidate_set([0.0, math.pi / 2.0])
     poly = make_polynomial(args.family, args.n)
-    if args.grid < 1:
-        print("error: grid must be >= 1", file=sys.stderr)
-        return 2
     # Bit-equal to 2.0 * math.pi * k / grid per k.
     thetas = 2.0 * math.pi * np.arange(args.grid) / args.grid
     # Party 1 turns by theta about z (restricted.z_rotation); the others hold still.
@@ -136,7 +139,7 @@ def cmd_sweep(args) -> int:
     rows = np.column_stack((thetas, primary, swapped, np.maximum(primary, swapped), best))
     path = args.out / "sweep.csv"
     write_lf(path, csv_document(
-        ("theta", "primary", "swapped", "analytic_max", "optimizer_max"), rows.tolist()))
+        ("theta", "primary", "swapped", "analytic_max", "optimizer_max"), rows))
     print(f"wrote {path}")
     return 0
 

@@ -370,13 +370,123 @@ def csv_document(header, rows) -> str:
 
     ``rows`` is a sequence of rows of floats and ints, each column of one
     type; the first row's types give the line format (:func:`_number_format`),
-    and one ``%`` formats the whole table.
+    and one ``%`` formats the whole table. A 2-D float64 array goes through
+    :func:`_float_table` instead, in blocks of rows, with the same bytes.
     """
     head = ",".join(header) + "\n"
     if not len(rows):
         return head
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.size:
+        step = -(-_TABLE_BLOCK // rows.shape[1])
+        return head + "".join(_float_table(rows[lo : lo + step])
+                              for lo in range(0, len(rows), step))
     line = ",".join(map(_number_format, rows[0])) + "\n"
     return head + (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+
+
+# _float_table writes |x| in [2e-6, 1e15) itself: there the decimal exponent
+# e of x lies in -6..14 (-6..15 as first guessed), so k = 16 - e <= 22,
+# 5^k < 2^52 and m 5^k fits in two 64-bit words.
+_POW5 = np.array([5**k for k in range(23)], dtype=np.uint64)
+# Per exponent e = -6..15 (row e + 6): the digit that the point follows (17:
+# none, the prefix holds it), and 8 bytes each of prefix and suffix.
+_LAYOUT = [(e if e >= 0 else 0 if e < -4 else 17,
+            b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"",
+            b"e-%02d" % -e if e < -4 else b"") for e in range(-6, 16)]
+_DOT = np.array([dot for dot, _, _ in _LAYOUT], dtype=np.int8)
+_AFFIXES = np.frombuffer(b"".join(p.ljust(8, b"\0") + s.ljust(8, b"\0") for _, p, s in _LAYOUT),
+                         dtype=np.uint64).reshape(-1, 2)
+_DIGIT = np.arange(17, dtype=np.int8)[:, None]
+# One value's bytes: sign, prefix "0.000", 17 digits and a point, suffix
+# "e-0X", separator. Zero bytes are dropped.
+_CELL = 29
+# Values per _float_table call, which bounds its working memory.
+_TABLE_BLOCK = 1 << 14
+
+
+def _scaled(m, q, e):
+    """``m 2^q 10^(16-e)`` truncated, and rounded half to even, for uint64
+    ``m < 2^53`` and int64 ``q`` and ``e`` in the exact range."""
+    k = 16 - e
+    f = _POW5.take(k)
+    ml, mh, fl, fh = m & 0xFFFFFFFF, m >> 32, f & 0xFFFFFFFF, f >> 32
+    low = ml * fl
+    mid = ml * fh + mh * fl
+    lo = low + (mid << 32)
+    hi = mh * fh + (mid >> 32) + (lo < low)
+    shift = (-(q + k)).astype(np.uint64)  # 1..63
+    t = (hi << (64 - shift)) | (lo >> shift)
+    rem = lo & ((np.uint64(1) << shift) - 1)
+    half = np.uint64(1) << (shift - 1)
+    return t, t + ((rem > half) | ((rem == half) & (t & 1).astype(bool)))
+
+
+def _decimal(x):
+    """``(exact, N, e)``: where ``exact``, ``|x|`` rounds to ``N 10^(e-16)``
+    with ``10^16 <= N < 10^17``, in integer arithmetic, ``e`` guessed from
+    ``log10`` and corrected; elsewhere ``N`` and ``e`` are those of 1.
+
+    ``N`` never rounds up to ``10^17``: the largest double below each power
+    of ten in the exact range rounds to 17 digits below that power."""
+    a = np.abs(x)
+    exact = (a >= 2e-6) & (a < 1e15)
+    a[~exact] = 1.0
+    bits = a.view(np.uint64)
+    m = (bits & 0xFFFFFFFFFFFFF) | (1 << 52)
+    q = (bits >> 52).astype(np.int64) - 1075
+    e = np.floor(np.log10(a)).astype(np.int64)
+    t, N = _scaled(m, q, e)
+    off = (t >= 10**17).astype(np.int64) - (t < 10**16)
+    bad = np.flatnonzero(off)
+    if bad.size:
+        e[bad] += off[bad]
+        N[bad] = _scaled(m[bad], q[bad], e[bad])[1]
+    return exact, N, e
+
+
+def _float_table(values) -> str:
+    """The CSV lines of a 2-D float64 array, byte for byte one ``%.17g`` per
+    value joined with ``,`` and ``\\n`` (the ``%`` path is its oracle).
+
+    :func:`_decimal` gives each value's 17 digits, laid out as ``%g`` does:
+    fixed notation for exponents -4..16, else ``d.ddde-0X``, trailing zeros
+    dropped. Values outside the exact range (zeros, ``|x| < 2e-6``,
+    ``|x| >= 1e15``, inf, nan) are written by ``%`` into the same cells.
+    """
+    C = values.shape[1]
+    x = values.ravel()
+    exact, N, e = _decimal(x)
+    V = len(x)
+    v = np.empty((2, V), np.uint32)  # N's digits 0..8 and 9..16
+    v[0] = N // 10**8
+    v[1] = N - v[0] * np.uint64(10**8)
+    digits = np.empty((17, V), np.uint8)
+    for j in range(8, 0, -1):
+        quotient = v // 10
+        digits[j::8] = v - quotient * 10
+        v = quotient
+    digits[0] = v[0]
+    last = ((digits != 0) * _DIGIT).max(axis=0)
+    digits += 48
+    digits *= _DIGIT <= np.maximum(last, e.astype(np.int8))
+    dot = _DOT.take(e + 6)
+    cells = np.zeros((_CELL, V), np.uint8)
+    np.multiply(digits, _DIGIT <= dot, out=cells[6:23])
+    cells[7:24] += digits * (_DIGIT > dot)
+    pointed = np.flatnonzero(last > dot)
+    cells.ravel()[(7 + dot[pointed].astype(np.intp)) * V + pointed] = 46
+    cells[0] = (x < 0) * np.uint8(45)
+    affixes = _AFFIXES.take(e + 6, axis=0).view(np.uint8)
+    cells[1:6] = affixes[:, :5].T
+    cells[24:28] = affixes[:, 8:12].T
+    cells[28] = 44
+    cells[28, C - 1 :: C] = 10
+    rest = np.flatnonzero(~exact)
+    if rest.size:
+        text = ("%-28.17g" * rest.size) % tuple(x[rest].tolist())
+        padded = np.frombuffer(text.encode(), np.uint8).reshape(-1, 28)
+        cells[:28, rest] = (padded * (padded != 32)).T
+    return cells.tobytes(order="F").translate(None, b"\0").decode()
 
 
 def write_lf(path, text: str) -> None:

@@ -134,6 +134,14 @@ def test_sample_bad_config_is_config_error(tmp_path, capsys, flag, value):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("grid", [0, cli.MAX_GRID + 1])
+def test_sweep_grid_out_of_range_is_config_error(tmp_path, capsys, grid):
+    assert run_cli(["sweep", "--n", str(bp.MAX_PARTIES), "--family", "mk",
+                    "--grid", str(grid), "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err.startswith("error: grid must be in [1, ")
+    assert not (tmp_path / "x").exists()
+
+
 def test_sign_flip_switch_changes_results(tmp_path):
     base = ["sample", "--n", "2", "--family", "mk", "--candidates", "pauli",
             "--samples", "150", "--seed", "3"]

@@ -60,13 +60,42 @@ tables = st.lists(st.sampled_from(sorted(COLUMNS)), min_size=1, max_size=5).flat
                             st.lists(st.tuples(*(COLUMNS[k] for k in kinds)), max_size=12)))
 
 
+def _bit_table(width, words):
+    """A float table, ``width`` values a row, of the doubles with bit patterns ``words``."""
+    values = np.array(words[: len(words) // width * width], dtype=np.uint64).view(np.float64)
+    return ["float"] * width, [tuple(row) for row in values.reshape(-1, width).tolist()]
+
+
+# Raw bit patterns, half of them with an exponent (and so a %g layout) in or
+# near the exact range of montecarlo._float_table, 2e-6 <= |x| < 1e15.
+words = st.one_of(st.integers(0, 2**64 - 1),
+                  st.builds(lambda sign, exp, frac: sign << 63 | exp << 52 | frac,
+                            st.integers(0, 1), st.integers(1000, 1076), st.integers(0, 2**52 - 1)))
+bit_tables = st.integers(1, 5).flatmap(
+    lambda width: st.lists(words, max_size=200 * width).map(lambda w: _bit_table(width, w)))
+# 2^-k, 1 + 2^-k, and 2^a + 2^-k with 2^a just above 10^(17-k): its 18
+# significant digits end in 5, a half-way tie for %.17g wherever it is exact.
+TIES = [(2.0**-k, 1.0 + 2.0**-k, 2.0 ** (10 ** max(0, 17 - k) - 1).bit_length() + 2.0**-k)
+        for k in range(1, 61)]
+# The doubles on both sides of 10^k and of the exact range's edges.
+EDGES = [(np.nextafter(p, 0.0), p, np.nextafter(p, math.inf))
+         for p in [10.0**k for k in range(-7, 17)] + [2e-6, 1e15]]
+
+
 @PROPERTY
-@given(tables)
+@given(st.one_of(tables, bit_tables))
 @example((["float"], []))
 @example((["float", "np.float64", "int"],
           [(x, np.float64(x), k) for k, x in enumerate(EDGE_FLOATS)]))
+@example((["float"] * 3, TIES))
+@example((["float"] * 3, [tuple(-x for x in row) for row in TIES]))
+@example((["float"] * 3, EDGES))
+@example((["float"] * 3, [tuple(-x for x in row) for row in EDGES]))
+@example((["float"] * 2, [(0.0, 0.5), (0.25, 1.0000000000000002)]))  # a sweep's leading 0.0
+@example((["float"], [(k / 7.0,) for k in range(1, 2**14 + 4)]))  # more than one block
 def test_csv_document_formats_every_value_as_fmt_value(table):
-    # One % over the table writes what one _fmt_value per value wrote.
+    # One % over the table, or _float_table over it as an array, writes what
+    # one _fmt_value per value wrote.
     kinds, rows = table
     header = [f"{kind}_{i}" for i, kind in enumerate(kinds)]
     lines = [",".join(header), *(",".join(map(_fmt_value, row)) for row in rows)]
