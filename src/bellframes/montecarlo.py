@@ -4,8 +4,8 @@ Each sample draws an independent frame rotation for every party (and, for
 ``random:K`` candidate sets, a fresh direction set), maximizes the Bell
 value over all measurement assignments, and records it. The result holds
 the full per-sample value array, so histograms, bound-crossing probabilities
-and summary statistics are all derived deterministically from it and results
-merge exactly.
+and summary statistics are all derived deterministically from it, and runs
+over adjacent sample ranges merge exactly.
 
 Frame measures (``ExperimentConfig.frame_measure``):
 
@@ -84,7 +84,7 @@ class ExperimentConfig:
     ``candidates`` is a kind name (a key of ``optimizer.FIXED_KINDS`` or
     ``random:K``); random kinds are redrawn per sample, fixed kinds are
     shared. ``sample_offset`` names the first global sample
-    index, letting disjoint ranges of one logical experiment run separately
+    index, letting adjacent ranges of one logical experiment run separately
     and merge exactly.
 
     ``frame_measure`` names the distribution of each party's frame rotation:
@@ -130,7 +130,6 @@ class BoundCrossing:
 @dataclass(frozen=True)
 class ExperimentResult:
     config: ExperimentConfig
-    sample_indices: np.ndarray
     values: np.ndarray
     histogram: tuple[tuple[float, float, int], ...]
     bounds: tuple[BoundCrossing, ...]
@@ -140,6 +139,11 @@ class ExperimentResult:
     min: float
     max: float
     evaluations: int
+
+    @property
+    def sample_indices(self) -> np.ndarray:
+        """The global sample index of each value, from the config's range."""
+        return self.config.sample_offset + np.arange(self.config.samples, dtype=np.int64)
 
 
 def _sample_key(seed: int, sample_index: int) -> tuple[int, int]:
@@ -260,7 +264,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     else:
         for job in jobs:
             _compute_batch(config, ctensor, fixed_set, m, *job)
-    return _build_result(config, indices, values, per_sample)
+    return _build_result(config, values, total)
 
 
 def _bin_count(top: float, bin_width: float):
@@ -270,7 +274,7 @@ def _bin_count(top: float, bin_width: float):
     return max(1, math.ceil(bins)) if bins < math.inf else bins
 
 
-def _build_result(config, indices, values, per_sample) -> ExperimentResult:
+def _build_result(config, values, evaluations) -> ExperimentResult:
     table = bounds_table(config.n, config.family)
     samples = len(values)
 
@@ -287,13 +291,10 @@ def _build_result(config, indices, values, per_sample) -> ExperimentResult:
         crossings.append(
             BoundCrossing(label=label, value=bound, prob=p, stderr=_binomial_stderr(p, samples))
         )
-    indices = np.asarray(indices, dtype=np.int64)
     values = np.asarray(values, dtype=float)
-    indices.setflags(write=False)
     values.setflags(write=False)
     return ExperimentResult(
         config=config,
-        sample_indices=indices,
         values=values,
         histogram=histogram,
         bounds=tuple(crossings),
@@ -302,32 +303,27 @@ def _build_result(config, indices, values, per_sample) -> ExperimentResult:
         mean=float(np.mean(values)),
         min=float(np.min(values)),
         max=float(np.max(values)),
-        evaluations=per_sample * samples,
+        evaluations=evaluations,
     )
 
 
 def merge_results(a: ExperimentResult, b: ExperimentResult) -> ExperimentResult:
-    """Combine two runs of the same experiment over disjoint sample ranges.
+    """Combine two runs of the same experiment over adjacent sample ranges,
+    in either order; overlapping ranges and ranges with a gap are rejected.
 
     Everything is recomputed from the concatenated per-sample values, so the
     merge equals the single run covering both index ranges.
     """
+    a, b = sorted((a, b), key=lambda r: r.config.sample_offset)
     ca = replace(a.config, samples=1, sample_offset=0, budget=0)
     cb = replace(b.config, samples=1, sample_offset=0, budget=0)
     if ca != cb:
         raise ValueError("results come from different experiment configs")
-    indices = np.concatenate([a.sample_indices, b.sample_indices])
-    if len(np.unique(indices)) != len(indices):
-        raise ValueError("sample index ranges overlap")
+    if a.config.sample_offset + a.config.samples != b.config.sample_offset:
+        raise ValueError("sample ranges must be adjacent: they overlap or leave a gap")
     values = np.concatenate([a.values, b.values])
-    order = np.argsort(indices)
-    merged_config = replace(
-        a.config,
-        samples=len(indices),
-        sample_offset=int(indices.min()),
-    )
-    per_sample = a.evaluations // len(a.values)
-    return _build_result(merged_config, indices[order], values[order], per_sample)
+    merged_config = replace(a.config, samples=len(values))
+    return _build_result(merged_config, values, a.evaluations + b.evaluations)
 
 
 def _number_format(v):
@@ -504,13 +500,16 @@ def write_histogram_csv(result: ExperimentResult, path) -> None:
 def summary_json(result: ExperimentResult) -> str:
     """The summary document as canonical JSON text (fixed key order).
 
-    ``frame_measure`` follows ``sign_flips`` only for a non-default measure.
+    ``sample_offset`` follows ``samples`` only for a range that does not
+    start at 0, and ``frame_measure`` follows ``sign_flips`` only for a
+    non-default measure.
     """
     cfg = result.config
+    offset = [("sample_offset", cfg.sample_offset)] if cfg.sample_offset else []
     measure = [("frame_measure", cfg.frame_measure)] if cfg.frame_measure != FRAME_HAAR else []
     return json_document([
         ("n", cfg.n), ("family", cfg.family), ("candidates", cfg.candidates),
-        ("samples", cfg.samples), ("seed", cfg.seed), ("sign_flips", cfg.sign_flips),
+        ("samples", cfg.samples), *offset, ("seed", cfg.seed), ("sign_flips", cfg.sign_flips),
         *measure,
         ("lhv_violation_prob", result.lhv_violation_prob),
         ("bounds", [vars(c).items() for c in result.bounds]),

@@ -167,6 +167,10 @@ def test_merge_rejects_overlap_and_mismatch():
     b = run_experiment(small_config(samples=100, sample_offset=100, seed=18))
     with pytest.raises(ValueError):
         merge_results(a, b)
+    gap = run_experiment(small_config(samples=100, sample_offset=150))
+    for pair in ((a, gap), (gap, a)):
+        with pytest.raises(ValueError, match="adjacent"):
+            merge_results(*pair)
 
 
 def test_merge_rejects_mixed_frame_measures():
@@ -189,6 +193,9 @@ def test_summary_records_non_default_frame_measure():
     assert keys(haar) == default_keys
     assert keys(uniform) == default_keys[:6] + ["frame_measure"] + default_keys[6:]
     assert json.loads(summary_json(uniform))["frame_measure"] == "uniform-angle"
+    shifted = run_experiment(small_config(samples=20, sample_offset=100))
+    assert keys(shifted) == default_keys[:4] + ["sample_offset"] + default_keys[4:]
+    assert json.loads(summary_json(shifted))["sample_offset"] == 100
 
 
 def test_summary_json_matches_pinned_digest():
@@ -425,5 +432,5 @@ def test_crossing_requires_strictly_exceeding_bound():
 
     config = small_config(samples=4, candidates="pauli", family="svetlichny")
     values = np.array([1.0, 1.0 + CROSSING_TOL / 2, 1.2, 0.8])
-    res = _build_result(config, np.arange(4), values, per_sample=1)
+    res = _build_result(config, values, evaluations=4)
     assert res.lhv_violation_prob == 0.25

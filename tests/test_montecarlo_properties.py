@@ -117,6 +117,7 @@ def test_summary_json_round_trips_config_and_floats(measure, config):
         "family": config.family,
         "candidates": config.candidates,
         "samples": config.samples,
+        **({"sample_offset": config.sample_offset} if config.sample_offset else {}),
         "seed": config.seed,
         "sign_flips": config.sign_flips,
     }
@@ -170,6 +171,10 @@ def test_merge_is_associative_over_three_disjoint_ranges(config, data):
         assert np.array_equal(merged.values, full.values)
         assert (merged.histogram, merged.bounds, merged.evaluations) == (
             full.histogram, full.bounds, full.evaluations)
+        assert (merged.lhv_violation_prob, merged.lhv_stderr) == (
+            full.lhv_violation_prob, full.lhv_stderr)
+        assert (merged.mean, merged.min, merged.max) == (full.mean, full.min, full.max)
+        assert summary_json(merged) == summary_json(full)
 
 
 @PROPERTY
