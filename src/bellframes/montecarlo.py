@@ -231,8 +231,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     ``threads`` only partitions the batched scan across a thread pool; the
     per-sample streams make the output independent of the partitioning.
     """
-    poly = make_polynomial(config.family, config.n)
-    if _bin_count(poly.algebraic_max(), config.bin_width) > MAX_BINS:
+    top = bounds_table(config.n, config.family).threshold("AlgebraicMax")
+    if _bin_count(top, config.bin_width) > MAX_BINS:
         raise ValueError(f"bin width {config.bin_width!r} gives more than {MAX_BINS} bins")
     k = _random_kind_size(config.candidates)
     fixed_set = None if k else make_candidate_set(config.candidates)
@@ -244,7 +244,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
             f"{config.samples} samples x {per_sample} assignments = {total} "
             f"evaluations exceed the budget of {config.budget}"
         )
-    ctensor = poly.coefficient_tensor()
+    ctensor = make_polynomial(config.family, config.n).coefficient_tensor()
 
     indices = np.arange(config.sample_offset, config.sample_offset + config.samples)
     values = np.empty(config.samples)
@@ -312,7 +312,9 @@ def merge_results(a: ExperimentResult, b: ExperimentResult) -> ExperimentResult:
     in either order; overlapping ranges and ranges with a gap are rejected.
 
     Everything is recomputed from the concatenated per-sample values, so the
-    merge equals the single run covering both index ranges.
+    merge equals the single run covering both index ranges. The merged
+    budget is the sum of both budgets, which covers both runs' evaluations,
+    so the merged config runs again as it is.
     """
     a, b = sorted((a, b), key=lambda r: r.config.sample_offset)
     ca = replace(a.config, samples=1, sample_offset=0, budget=0)
@@ -322,8 +324,8 @@ def merge_results(a: ExperimentResult, b: ExperimentResult) -> ExperimentResult:
     if a.config.sample_offset + a.config.samples != b.config.sample_offset:
         raise ValueError("sample ranges must be adjacent: they overlap or leave a gap")
     values = np.concatenate([a.values, b.values])
-    merged_config = replace(a.config, samples=len(values))
-    return _build_result(merged_config, values, a.evaluations + b.evaluations)
+    merged = replace(a.config, samples=len(values), budget=a.config.budget + b.config.budget)
+    return _build_result(merged, values, a.evaluations + b.evaluations)
 
 
 def _number_format(v):
@@ -362,22 +364,12 @@ def json_document(fields) -> str:
 
 
 def csv_document(header, rows) -> str:
-    """A CSV document: the ``header`` names, then one line of values per row.
-
-    ``rows`` is a sequence of rows of floats and ints, each column of one
-    type; the first row's types give the line format (:func:`_number_format`),
-    and one ``%`` formats the whole table. A 2-D float64 array goes through
-    :func:`_float_table` instead, in blocks of rows, with the same bytes.
-    """
-    head = ",".join(header) + "\n"
-    if not len(rows):
-        return head
-    if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.size:
-        step = -(-_TABLE_BLOCK // rows.shape[1])
-        return head + "".join(_float_table(rows[lo : lo + step])
-                              for lo in range(0, len(rows), step))
-    line = ",".join(map(_number_format, rows[0])) + "\n"
-    return head + (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+    """A CSV document: the ``header`` names, then one line per row of the 2-D
+    float64 array ``rows``, each value ``%.17g``, written by
+    :func:`_float_table` in blocks of rows."""
+    step = -(-_TABLE_BLOCK // rows.shape[1])
+    return ",".join(header) + "\n" + "".join(
+        _float_table(rows[lo : lo + step]) for lo in range(0, len(rows), step))
 
 
 # _float_table writes |x| in [2e-6, 1e15) itself: there the decimal exponent
@@ -486,15 +478,28 @@ def _float_table(values) -> str:
 
 
 def write_lf(path, text: str) -> None:
-    """Write ``text`` to ``path`` with LF line endings, creating its directory."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, newline="\n")
+    """Write ``text`` to ``path`` with LF line endings, creating its directory.
+
+    The file is truncated to zero and then written, so an interrupted write
+    leaves a short file, never new bytes followed by old ones. The text is
+    encoded once and written in binary mode, and the directory is made only
+    when the open finds it missing.
+    """
+    try:
+        out = open(path, "wb")
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        out = open(path, "wb")
+    with out:
+        out.write(text.encode())
 
 
 def write_histogram_csv(result: ExperimentResult, path) -> None:
     """CSV with header ``bin_lo,bin_hi,count``, one row per bin, LF endings."""
-    write_lf(path, csv_document(("bin_lo", "bin_hi", "count"), result.histogram))
+    rows = result.histogram
+    line = "%.17g,%.17g,%d\n"
+    write_lf(path, "bin_lo,bin_hi,count\n"
+             + (line * len(rows)) % tuple(itertools.chain.from_iterable(rows)))
 
 
 def summary_json(result: ExperimentResult) -> str:

@@ -26,6 +26,7 @@ deterministic strategies.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,12 +100,14 @@ class BellPolynomial:
         return out
 
 
+@functools.lru_cache(maxsize=None)
 def make_polynomial(family: str, n: int) -> BellPolynomial:
     """The ``family`` polynomial on ``n`` parties, by the rule in the module docstring.
 
     MK_n and odd-n Mermin: ``u = (1 - i)^(n-1)``, ``e = n - 1``. Svetlichny:
     ``u = (1 - i)^e`` with ``e = n`` for odd ``n``, ``n - 1`` for even ``n``.
-    Even-n Mermin: ``u = -i``, ``e = n/2``.
+    Even-n Mermin: ``u = -i``, ``e = n/2``. Polynomials are cached; one is
+    frozen and holds tuples, so callers share it.
     """
     _check_family(family)
     _check_party_count(n)
@@ -190,6 +193,7 @@ def _sep_membership_bound(n: int, m: int) -> float:
     return max(LHV_BOUND, 2.0 ** ((n - m - n % 2) / 2))
 
 
+@functools.lru_cache(maxsize=None)
 def bounds_table(n: int, family: str) -> BoundsTable:
     """Demonstration thresholds for the given family and party count.
 
@@ -198,7 +202,8 @@ def bounds_table(n: int, family: str) -> BoundsTable:
     ``m = 2..n``; the ladder is exposed only for ``n <= 5``, beyond which
     just the biseparable bound ``GME(n) = 2^(n/2-1)`` is kept. For
     Svetlichny, ``Sep(l)`` is demonstrated by exceeding the membership bound
-    of ``Sep(l+1)`` models. Mermin at even ``n`` carries no ladder.
+    of ``Sep(l+1)`` models. Mermin at even ``n`` carries no ladder. Tables
+    are cached; a table is frozen and holds tuples, so callers share it.
     """
     _check_party_count(n)
     _check_family(family)

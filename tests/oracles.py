@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from bellframes import optimizer, su2
-from bellframes.montecarlo import FRAME_HAAR, sample_generator
+from bellframes.montecarlo import CROSSING_TOL, FRAME_HAAR, _number_format, sample_generator
 from bellframes.optimizer import make_candidate_set, random_candidate_set
 
 
@@ -246,3 +246,33 @@ def sample_frames(config, m, s):
     if not config.candidates.startswith("random:"):
         return quats, make_candidate_set(config.candidates).directions
     return quats, np.array([random_candidate_set(m, rng).directions for _ in range(config.n)])
+
+
+def crossing_prob(values, bound):
+    """The share of ``values`` strictly above ``bound + CROSSING_TOL``, as the
+    mean of one boolean mask per bound."""
+    return float(np.mean(values > bound + CROSSING_TOL))
+
+
+def histogram_counts(values, edges):
+    """Counts of ``values`` per bin ``[edges[k], edges[k+1])``, by ``np.digitize``
+    and ``np.bincount``; values outside the edges go to the first or last bin."""
+    nbins = len(edges) - 1
+    return np.bincount(np.clip(np.digitize(values, edges) - 1, 0, nbins - 1), minlength=nbins)
+
+
+def csv_rows(header, rows):
+    """A CSV document by one ``%`` over rows of Python numbers, each column of
+    one type: the first row's types give the line format (``%.17g`` per
+    float, ``%d`` per int)."""
+    head = ",".join(header) + "\n"
+    if not rows:
+        return head
+    line = ",".join(map(_number_format, rows[0])) + "\n"
+    return head + (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
+
+
+def hist_csv(result):
+    """``hist.csv``'s text as one ``%`` over the result's rows, each edge
+    formatted once per row it appears in."""
+    return csv_rows(("bin_lo", "bin_hi", "count"), result.histogram)

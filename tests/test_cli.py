@@ -95,6 +95,30 @@ def test_sample_outputs_match_pinned_digests(tmp_path, name):
     assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == summary_sha
 
 
+def test_sample_over_longer_outputs_writes_a_fresh_runs_bytes(tmp_path, capsys):
+    # A 0.001 bin width writes a ten times longer hist.csv than the default;
+    # the second run into the same directory must cut both files back.
+    args = ["sample", "--n", "3", "--family", "mermin", "--candidates", "pauli",
+            "--samples", "50", "--seed", "7", "--threads", "1"]
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert run_cli([*args, "--bin-width", "0.001", "--out", str(reused)]) == 0
+    longer = (reused / "hist.csv").stat().st_size
+    assert run_cli([*args, "--out", str(reused)]) == 0
+    assert run_cli([*args, "--out", str(fresh)]) == 0
+    assert (fresh / "hist.csv").stat().st_size < longer
+    for name in ("hist.csv", "summary.json"):
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_sweep_over_a_longer_output_writes_a_fresh_runs_bytes(tmp_path, capsys):
+    args = ["sweep", "--n", "3", "--family", "svetlichny"]
+    reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+    assert run_cli([*args, "--grid", "500", "--out", str(reused)]) == 0
+    assert run_cli([*args, "--grid", "7", "--out", str(reused)]) == 0
+    assert run_cli([*args, "--grid", "7", "--out", str(fresh)]) == 0
+    assert (reused / "sweep.csv").read_bytes() == (fresh / "sweep.csv").read_bytes()
+
+
 def test_sample_budget_overrun_is_config_error(tmp_path, capsys):
     code = run_cli([
         "sample", "--n", "3", "--family", "mermin", "--candidates", "pauli",

@@ -18,6 +18,7 @@ from bellframes.montecarlo import (
     sample_generator,
     summary_json,
     write_histogram_csv,
+    write_lf,
     write_summary_json,
 )
 from bellframes.optimizer import (
@@ -171,6 +172,21 @@ def test_merge_rejects_overlap_and_mismatch():
     for pair in ((a, gap), (gap, a)):
         with pytest.raises(ValueError, match="adjacent"):
             merge_results(*pair)
+
+
+def test_merged_config_reruns_within_its_budget():
+    # Each half's budget covers exactly its own evaluations; the merged
+    # config carries their sum, so running it again is no budget overrun.
+    half = small_config(samples=10, seed=5, budget=17280)
+    lo = run_experiment(half)
+    hi = run_experiment(replace(half, sample_offset=10))
+    assert lo.evaluations == hi.evaluations == 17280
+    merged = merge_results(hi, lo)
+    assert merged.config.budget == 2 * 17280
+    again = run_experiment(merged.config)
+    assert np.array_equal(again.values, merged.values)
+    assert again.evaluations == merged.evaluations
+    assert summary_json(again) == summary_json(merged)
 
 
 def test_merge_rejects_mixed_frame_measures():
@@ -434,3 +450,12 @@ def test_crossing_requires_strictly_exceeding_bound():
     values = np.array([1.0, 1.0 + CROSSING_TOL / 2, 1.2, 0.8])
     res = _build_result(config, values, evaluations=4)
     assert res.lhv_violation_prob == 0.25
+
+
+def test_write_lf_replaces_a_longer_file_and_creates_its_directory(tmp_path):
+    path = tmp_path / "missing" / "dir" / "out.txt"
+    write_lf(path, "a much longer first text\n" * 50)
+    write_lf(path, "short\nlines\n")
+    assert path.read_bytes() == b"short\nlines\n"
+    write_lf(path, "")
+    assert path.read_bytes() == b""

@@ -7,19 +7,29 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import prefix_values, quat_multiply
+from oracles import (
+    crossing_prob,
+    csv_rows,
+    hist_csv,
+    histogram_counts,
+    prefix_values,
+    quat_multiply,
+)
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from bellframes.montecarlo import (  # noqa: E402
+    CROSSING_TOL,
     ExperimentConfig,
+    _build_result,
     _fmt_value,
     csv_document,
     merge_results,
     run_experiment,
     summary_json,
+    write_histogram_csv,
 )
 from bellframes.optimizer import (  # noqa: E402
     _channel_tables,
@@ -28,7 +38,7 @@ from bellframes.optimizer import (  # noqa: E402
     make_candidate_set,
     score_frames,
 )
-from bellframes.polynomials import make_polynomial  # noqa: E402
+from bellframes.polynomials import bounds_table, make_polynomial  # noqa: E402
 from bellframes.su2 import rotate_directions  # noqa: E402
 
 # Property tests draw the same examples on every run, so tier-1 stays steady.
@@ -94,15 +104,16 @@ EDGES = [(np.nextafter(p, 0.0), p, np.nextafter(p, math.inf))
 @example((["float"] * 2, [(0.0, 0.5), (0.25, 1.0000000000000002)]))  # a sweep's leading 0.0
 @example((["float"], [(k / 7.0,) for k in range(1, 2**14 + 4)]))  # more than one block
 def test_csv_document_formats_every_value_as_fmt_value(table):
-    # One % over the table, or _float_table over it as an array, writes what
-    # one _fmt_value per value wrote.
+    # csv_document over the table as a float64 array, and the one-% oracle
+    # over its rows, write what one _fmt_value per value wrote.
     kinds, rows = table
     header = [f"{kind}_{i}" for i, kind in enumerate(kinds)]
     lines = [",".join(header), *(",".join(map(_fmt_value, row)) for row in rows)]
     expected = "\n".join(lines) + "\n"
-    assert csv_document(header, rows) == expected
+    assert csv_rows(header, rows) == expected
     if "int" not in kinds:
-        assert csv_document(header, np.array(rows, dtype=float)) == expected
+        array = np.array(rows, dtype=float).reshape(len(rows), len(kinds))
+        assert csv_document(header, array) == expected
 
 
 @pytest.mark.parametrize("measure", ["haar", "uniform-angle"])
@@ -144,7 +155,7 @@ def test_merge_of_disjoint_ranges_equals_single_run(config, data):
                                 sample_offset=config.sample_offset + cut))
     full = run_experiment(config)
     merged = merge_results(*((hi, lo) if data.draw(st.booleans(), label="swap") else (lo, hi)))
-    assert merged.config == full.config
+    assert merged.config == replace(full.config, budget=lo.config.budget + hi.config.budget)
     assert np.array_equal(merged.sample_indices, full.sample_indices)
     assert np.array_equal(merged.values, full.values)
     assert (merged.histogram, merged.bounds, merged.evaluations) == (
@@ -165,8 +176,9 @@ def test_merge_is_associative_over_three_disjoint_ranges(config, data):
                                       sample_offset=config.sample_offset + lo))
                for lo, hi in ((0, cut), (cut, cut2), (cut2, config.samples)))
     full = run_experiment(config)
+    budget = a.config.budget + b.config.budget + c.config.budget
     for merged in (merge_results(merge_results(a, b), c), merge_results(a, merge_results(b, c))):
-        assert merged.config == full.config
+        assert merged.config == replace(full.config, budget=budget)
         assert np.array_equal(merged.sample_indices, full.sample_indices)
         assert np.array_equal(merged.values, full.values)
         assert (merged.histogram, merged.bounds, merged.evaluations) == (
@@ -175,6 +187,46 @@ def test_merge_is_associative_over_three_disjoint_ranges(config, data):
             full.lhv_violation_prob, full.lhv_stderr)
         assert (merged.mean, merged.min, merged.max) == (full.mean, full.min, full.max)
         assert summary_json(merged) == summary_json(full)
+
+
+@PROPERTY
+@given(
+    n=st.integers(2, 4),
+    family=st.sampled_from(["mermin", "mk", "svetlichny"]),
+    bin_width=st.one_of(st.sampled_from([0.01, 0.001, 0.1, 1 / 3, 0.37, 2.0]),
+                        st.floats(1e-3, 4.0)),
+    data=st.data(),
+)
+def test_crossings_and_hist_csv_match_their_oracles(tmp_path_factory, n, family, bin_width, data):
+    # Values on, just below and just above each bound + CROSSING_TOL, ties
+    # among them, bin edges and values anywhere in [0, top]; each result is
+    # built whole and merged from two halves. Every crossing must equal one
+    # mean of a boolean mask, the counts one digitize, and hist.csv one %
+    # over the stored rows. One path is rewritten by every example.
+    table = bounds_table(n, family)
+    top = table.threshold("AlgebraicMax")
+    bounds = [table.lhv_bound] + [bound for _, bound in table.thresholds]
+    ties = [x for bound in bounds for x in (bound, bound + CROSSING_TOL)]
+    near = ties + [np.nextafter(x, d) for x in ties for d in (-math.inf, math.inf)]
+    on_edges = st.integers(0, int(top / bin_width) + 1).map(lambda k: k * bin_width)
+    values = np.array(data.draw(st.lists(
+        st.one_of(st.sampled_from(near), on_edges, st.floats(0.0, top)), min_size=2, max_size=60),
+        label="values"))
+    cut = data.draw(st.integers(1, len(values) - 1), label="cut")
+    config = ExperimentConfig(n=n, family=family, candidates="pauli", samples=len(values),
+                              seed=0, bin_width=bin_width)
+    lo = _build_result(replace(config, samples=cut), values[:cut], cut)
+    hi = _build_result(replace(config, samples=len(values) - cut, sample_offset=cut),
+                       values[cut:], len(values) - cut)
+    path = tmp_path_factory.getbasetemp() / "rewritten" / "hist.csv"
+    for result in (_build_result(config, values, len(values)), merge_results(hi, lo)):
+        assert result.lhv_violation_prob == crossing_prob(values, table.lhv_bound)
+        assert [c.prob for c in result.bounds] == [
+            crossing_prob(values, bound) for bound in bounds[1:]]
+        edges = [row[0] for row in result.histogram] + [result.histogram[-1][1]]
+        assert [row[2] for row in result.histogram] == histogram_counts(values, edges).tolist()
+        write_histogram_csv(result, path)
+        assert path.read_bytes() == hist_csv(result).encode()
 
 
 @PROPERTY
