@@ -225,6 +225,14 @@ def dense_mk_coefficients(n):
     return v
 
 
+def dense_coefficients(poly):
+    """A polynomial's coefficients as a dense 2^n vector indexed by setting mask."""
+    v = np.zeros(1 << poly.n)
+    for mask, coeff in poly.terms:
+        v[mask] = float(coeff)
+    return v
+
+
 def uniform_sphere(rng, count):
     v = rng.standard_normal((count, 3))
     return v / np.linalg.norm(v, axis=1, keepdims=True)

@@ -8,6 +8,7 @@ of the estimate, and all runs are seeded, so outcomes are deterministic.
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,18 +16,13 @@ import pytest
 from bellframes import polynomials as bp
 from bellframes import restricted as rst
 from bellframes import su2
-from bellframes.cli import (
-    check_lhv_bound,
-    check_polynomial_identities,
-    check_statevector_oracle,
-)
 from bellframes.montecarlo import ExperimentConfig, run_experiment
 from bellframes.optimizer import (
     inplane_candidate_set,
     make_candidate_set,
     max_bell_value,
 )
-from oracles import evaluate, restricted_exact_value
+from oracles import dense_coefficients, dense_mk_coefficients, evaluate, restricted_exact_value
 
 IDENT = su2.Rotation.identity()
 SEED = 20_260_808
@@ -199,21 +195,54 @@ def test_c2f_mermin4_tetrahedron_near_certain_violation():
 
 
 def test_c3a_lhv_bound_is_one_for_all_families():
-    _, ok, detail = check_lhv_bound()
+    values = {(family, n): bp.lhv_deterministic_max(bp.make_polynomial(family, n))
+              for family in bp.FAMILIES for n in range(2, 6)}
+    wrong = {key: value for key, value in values.items() if value != 1.0}
     check("3a deterministic-strategy maximum = 1 exactly (all families, n=2..5)",
-          ok, detail)
+          not wrong, f"not 1: {wrong}" if wrong else "exact")
 
 
 def test_c3b_statevector_oracle_agreement():
-    _, ok, detail = check_statevector_oracle(10_000)
+    rng = np.random.default_rng(SEED)
+    max_err = 0.0
+    for _ in range(10_000):
+        n = int(rng.integers(2, 7))
+        rots = [su2.haar_rotation(rng) for _ in range(n)]
+        dirs = rng.standard_normal((n, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        slow = su2.statevector_expectation(rots, [su2.observable_matrix(d) for d in dirs])
+        fast = su2.ghz_correlator(
+            [su2.observable_matrix(su2.rotate_direction(r, d)) for r, d in zip(rots, dirs)])
+        max_err = max(max_err, abs(slow - fast))
     check("3b statevector oracle vs closed-form correlator, 10^4 cases <= 1e-12",
-          ok, detail)
+          max_err <= 1e-12, f"max |diff| = {max_err:.2e}")
 
 
 def test_c3c_polynomial_identities():
-    _, ok, detail = check_polynomial_identities()
+    odd = all(np.array_equal(dense_coefficients(bp.mermin_polynomial(n)), dense_mk_coefficients(n))
+              for n in (3, 5, 7))
+    even = all(
+        np.array_equal(dense_coefficients(bp.svetlichny_polynomial(n)), dense_mk_coefficients(n))
+        for n in (2, 4, 6, 8))
+    half = Fraction(1, 2)
+    chsh = bp.mk_polynomial(2).terms == ((0, half), (1, half), (2, half), (3, -half))
+    mk3 = bp.mk_polynomial(3).terms == ((1, half), (2, half), (4, half), (7, -half))
     check("3c polynomial identities (mermin=mk odd<=7, svetlichny=mk even<=8, "
-          "explicit 2- and 3-party term lists)", ok, detail)
+          "explicit 2- and 3-party term lists)",
+          odd and even and chsh and mk3, f"odd={odd} even={even} chsh={chsh} mk3={mk3}")
+
+
+def test_c3c_detects_injected_sign_error(monkeypatch):
+    good = bp.mermin_polynomial
+
+    def broken(n):
+        poly = good(n)
+        flipped = tuple((mask, -coeff) for mask, coeff in poly.terms)
+        return bp.BellPolynomial(poly.n, poly.family, flipped)
+
+    monkeypatch.setattr(bp, "mermin_polynomial", broken)
+    with pytest.raises(AssertionError):
+        test_c3c_polynomial_identities()
 
 
 def test_c3d_restricted_grid_oracle_and_bounds():

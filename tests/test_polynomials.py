@@ -6,7 +6,7 @@ import pytest
 
 from bellframes import polynomials as bp
 from bellframes import su2
-from oracles import dense_mk_coefficients, evaluate
+from oracles import dense_coefficients, dense_mk_coefficients, evaluate
 
 HALF = Fraction(1, 2)
 
@@ -40,12 +40,7 @@ def test_mk4_against_independent_expansion():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_mk_recursion_matches_dense_oracle(n):
-    dense = dense_mk_coefficients(n)
-    poly = bp.mk_polynomial(n)
-    rebuilt = np.zeros(1 << n)
-    for mask, coeff in poly.terms:
-        rebuilt[mask] = float(coeff)
-    assert np.array_equal(rebuilt, dense)
+    assert np.array_equal(dense_coefficients(bp.mk_polynomial(n)), dense_mk_coefficients(n))
 
 
 def test_party_count_caps():
@@ -107,10 +102,8 @@ def test_svetlichny_odd_merges_both_swap_sectors(n):
     # oracle: merge the dense MK_n and its prime swap by hand
     d = dense_mk_coefficients(n)
     full = (1 << n) - 1
-    rebuilt = np.zeros(1 << n)
-    for mask, coeff in poly.terms:
-        rebuilt[mask] = float(coeff)
-    assert np.array_equal(rebuilt, [(d[mask] + d[mask ^ full]) / 2 for mask in range(1 << n)])
+    assert np.array_equal(dense_coefficients(poly),
+                          [(d[mask] + d[mask ^ full]) / 2 for mask in range(1 << n)])
 
 
 def test_evaluate_algebraic_maximum_case():

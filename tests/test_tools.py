@@ -1,9 +1,13 @@
-"""tools/src_lines.py counts total and code lines the way ROADMAP reads them."""
+"""tools/src_lines.py counts total and code lines the way ROADMAP reads them,
+and every ``src/`` module uses each name it imports."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "src_lines.py"
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "src_lines.py"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 FIXTURE = '''"""Module docstring,
 over two lines."""
@@ -24,8 +28,8 @@ class Shape:
 '''
 
 
-def _tool():
-    spec = importlib.util.spec_from_file_location("src_lines", TOOL)
+def _load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -35,12 +39,34 @@ def test_count_skips_docstrings_comments_and_blank_lines(tmp_path):
     # 16 lines; code: the import, class, assignment, def and return.
     path = tmp_path / "fixture.py"
     path.write_text(FIXTURE)
-    assert _tool().count(path) == (16, 5)
+    assert _load(TOOL).count(path) == (16, 5)
 
 
 def test_main_sums_every_file_under_the_directory(tmp_path, capsys):
     (tmp_path / "pkg").mkdir()
     for name in ("a.py", "pkg/b.py"):
         (tmp_path / name).write_text(FIXTURE)
-    assert _tool().main([str(tmp_path)]) == 0
+    assert _load(TOOL).main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == "src lines: 32\ncode lines: 10\n"
+
+
+def test_src_modules_use_every_name_they_import():
+    # The benchmark's tracer wraps module names from outside, so it uses them too.
+    wrapped = {(path, attr) for path, attr, _ in _load(TRACING).WRAPPED}
+    unused = []
+    for path in sorted((ROOT / "src" / "bellframes").glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # its imports are the package's re-exports
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used and (path.stem, name) not in wrapped]
+    assert not unused
