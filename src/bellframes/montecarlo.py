@@ -26,10 +26,12 @@ standard normals for its axis, then one ``random()`` for its angle.
 Identical configs therefore produce bit-identical results regardless of
 batching, threading or sample partitioning.
 
-Each batch re-keys one Philox generator of its own to every sample's stream
-and draws the sample's normals in one call (uniform-angle rotations first,
-party by party): the same sequence as one call per draw, normalized with the
-rounding of ``v / math.sqrt(v @ v)``. The scalar :func:`sample_generator`,
+Each batch derives its samples' keys in one pass (one sha256 per sample,
+the digests read as one array; the contract is unchanged), re-keys one
+Philox generator of its own to every sample's stream and draws the sample's
+normals in one call (uniform-angle rotations first, party by party): the
+same sequence as one call per draw, normalized with the rounding of
+``v / math.sqrt(v @ v)``. The scalar :func:`sample_generator`,
 :func:`haar_rotation`, :func:`uniform_angle_rotation` and
 :func:`random_candidate_set` stay the oracle, and redraw a sample whose draw
 has zero norm (measure zero).
@@ -41,7 +43,6 @@ import hashlib
 import itertools
 import json
 import math
-import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -146,15 +147,18 @@ class ExperimentResult:
         return self.config.sample_offset + np.arange(self.config.samples, dtype=np.int64)
 
 
-def _sample_key(seed: int, sample_index: int) -> tuple[int, int]:
-    """The Philox key of one sample's stream, as two little-endian 64-bit words."""
-    digest = hashlib.sha256(b"bellframes:%d:%d" % (seed, sample_index)).digest()
-    return struct.unpack("<2Q", digest[:16])
+def _sample_keys(seed: int, indices) -> list[list[int]]:
+    """The Philox keys of the streams of samples ``indices``: the first 16
+    bytes of one sha256 per sample as two little-endian 64-bit words, read
+    from the joined digests in one pass."""
+    sha256 = hashlib.sha256
+    digests = b"".join([sha256(b"bellframes:%d:%d" % (seed, s)).digest() for s in indices])
+    return np.frombuffer(digests, "<u8").reshape(-1, 4)[:, :2].tolist()
 
 
 def sample_generator(seed: int, sample_index: int) -> np.random.Generator:
     """The private random stream of one sample (see module docstring)."""
-    key = np.array(_sample_key(seed, sample_index), dtype=np.uint64)
+    key = np.array(_sample_keys(seed, [sample_index])[0], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -190,12 +194,13 @@ def _draw_frames(config, m, indices, fixed_set):
     # A fresh stream: counter 0, empty buffer; lists keep the setter cheap.
     state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for b, s in enumerate(indices.tolist()):
-        state["state"]["key"] = _sample_key(config.seed, s)
+    normal = rng.standard_normal
+    for b, (key, row) in enumerate(zip(_sample_keys(config.seed, indices.tolist()), normals)):
+        state["state"]["key"] = key
         bitgen.state = state
         if not haar:  # uniform-angle rotations come first, party by party
             quats[b] = [uniform_angle_rotation(rng).quaternion for _ in range(n)]
-        rng.standard_normal(out=normals[b])
+        normal(out=row)
 
     redraw = np.zeros(B, dtype=bool)
     if haar:

@@ -235,13 +235,23 @@ def _channel_tables(directions, unprimed_idx, primed_idx, primed_sign):
     ``directions`` has shape ``(..., n, m, 3)`` holding each party's
     effective (frame-conjugated) base directions. ``Z`` is ``None`` for odd
     n, whose correlator has no z channel.
+
+    Tables are stored option-major: each is gathered along a leading option
+    axis into a C-contiguous (K, ..., n, 2) array and viewed as (..., n, 2, K).
+    That is the layout a stack of last-axis gathers has, and the scan's
+    kernels downstream are chosen by layout, so their bits depend on it.
     """
-    w = directions[..., 0] + 1j * directions[..., 1]
-    W = np.stack([w[..., unprimed_idx], primed_sign * w[..., primed_idx]], axis=-2)
-    if directions.shape[-3] % 2:
-        return W, None
-    z = directions[..., 2]
-    return W, np.stack([z[..., unprimed_idx], primed_sign * z[..., primed_idx]], axis=-2)
+    sign = primed_sign.reshape((-1,) + (1,) * (directions.ndim - 2))
+
+    def table(x):  # (..., n, m) -> (..., n, 2, K)
+        xT = np.moveaxis(x, -1, 0)
+        T = np.empty((len(unprimed_idx),) + xT.shape[1:] + (2,), x.dtype)
+        T[..., 0] = xT[unprimed_idx]
+        np.multiply(sign, xT[primed_idx], out=T[..., 1])
+        return np.moveaxis(T, 0, -1)
+
+    W = table(directions[..., 0] + 1j * directions[..., 1])
+    return W, None if directions.shape[-3] % 2 else table(directions[..., 2])
 
 
 def _fold_parties(acc, tables):

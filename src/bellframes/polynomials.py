@@ -13,7 +13,7 @@ Every family comes from one rule. Write ``a_t`` for the product that takes
 for its number of primed settings; then ``prod_k (a_k + i a'_k) =
 sum_t i^{|t|} a_t``. Each family is ``Re(u prod_k (a_k + i a'_k)) / 2^e``
 for a small Gaussian integer ``u`` and an exponent ``e``
-(:func:`make_polynomial`), so term ``t`` has coefficient
+(:func:`product_form`), so term ``t`` has coefficient
 ``Re(u i^{|t|}) / 2^e``: it depends only on ``|t|``. For MK_n,
 ``u = (1 - i)^(n-1)`` is the two-channel recursion
 ``MK_k = (MK_{k-1} (a_k + a'_k) + MK'_{k-1} (a_k - a'_k)) / 2`` in closed
@@ -100,22 +100,30 @@ class BellPolynomial:
         return out
 
 
-@functools.lru_cache(maxsize=None)
-def make_polynomial(family: str, n: int) -> BellPolynomial:
-    """The ``family`` polynomial on ``n`` parties, by the rule in the module docstring.
+def product_form(family: str, n: int) -> tuple[complex, int]:
+    """``(u, e)`` of the ``family`` polynomial on ``n`` parties, which is
+    ``Re(u prod_k (a_k + i a'_k)) / 2^e`` (module docstring).
 
     MK_n and odd-n Mermin: ``u = (1 - i)^(n-1)``, ``e = n - 1``. Svetlichny:
     ``u = (1 - i)^e`` with ``e = n`` for odd ``n``, ``n - 1`` for even ``n``.
-    Even-n Mermin: ``u = -i``, ``e = n/2``. Polynomials are cached; one is
-    frozen and holds tuples, so callers share it.
+    Even-n Mermin: ``u = -i``, ``e = n/2``.
     """
     _check_family(family)
     _check_party_count(n)
     if family == FAMILY_MERMIN and n % 2 == 0:
-        u, e = -1j, n // 2
-    else:
-        e = n if family == FAMILY_SVETLICHNY and n % 2 == 1 else n - 1
-        u = (1 - 1j) ** e
+        return -1j, n // 2
+    e = n if family == FAMILY_SVETLICHNY and n % 2 == 1 else n - 1
+    return (1 - 1j) ** e, e
+
+
+@functools.lru_cache(maxsize=None)
+def make_polynomial(family: str, n: int) -> BellPolynomial:
+    """The ``family`` polynomial on ``n`` parties, from its :func:`product_form`.
+
+    Polynomials are cached; one is frozen and holds tuples, so callers
+    share it.
+    """
+    u, e = product_form(family, n)
     # Re(u i^p) for p = 0..3: u is a small Gaussian integer, so the floats are exact.
     by_p = [Fraction(int((u * 1j**p).real), 2**e) for p in range(4)]
     terms = ((mask, by_p[mask.bit_count() % 4]) for mask in range(1 << n))

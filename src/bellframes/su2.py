@@ -168,14 +168,31 @@ def rotate_directions(quaternions, directions) -> np.ndarray:
     ``d' = (q0^2 - |q|^2) d + 2 q0 (d x q) + 2 (q . d) q``
     with ``q = (q1, q2, q3)``, which is the Pauli decomposition of
     ``R^dag (sigma . d) R``.
+
+    The evaluation order is part of the bit contract (every seeded output
+    goes through it): ``|q|^2 = (q1 q1 + q2 q2) + q3 q3``,
+    ``q . d = ((0 + q1 d_1) + q2 d_2) + q3 d_3`` as ``np.sum`` adds (three
+    negative zeros sum to +0), ``(d x q)_1 = d_2 q3 - d_3 q2`` and cyclic, and
+    ``d'_k = ((q0 q0 - |q|^2) d_k + (2 q0) (d x q)_k) + (2 q . d) q_k``, one
+    component at a time into a C-contiguous result.
     """
     quat = np.asarray(quaternions, dtype=float)
     d = np.asarray(directions, dtype=float)
-    q0 = quat[..., :1]
-    qv = quat[..., 1:]
-    qq = np.sum(qv * qv, axis=-1, keepdims=True)
-    qd = np.sum(qv * d, axis=-1, keepdims=True)
-    return (q0 * q0 - qq) * d + 2.0 * q0 * np.cross(d, qv) + 2.0 * qd * qv
+    q0, *q = np.moveaxis(quat, -1, 0)
+    d = np.moveaxis(d, -1, 0)
+    s = q0 * q0 - ((q[0] * q[0] + q[1] * q[1]) + q[2] * q[2])
+    qd2 = 2.0 * (((q[0] * d[0] + q[1] * d[1]) + q[2] * d[2]) + 0.0)
+    q02 = 2.0 * q0
+    out = np.empty(np.broadcast_shapes(quat.shape[:-1], d.shape[1:]) + (3,))
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        dk = out[..., k]
+        np.multiply(d[i], q[j], out=dk)
+        dk -= d[j] * q[i]
+        dk *= q02
+        dk += s * d[k]
+        dk += qd2 * q[k]
+    return out
 
 
 def ghz_correlator(observables) -> float:

@@ -1,7 +1,9 @@
 """Slow, independent reference implementations used to check the fast paths."""
 
+import hashlib
 import itertools
 import math
+import struct
 
 import numpy as np
 
@@ -37,6 +39,38 @@ def signed_observable(rotation, direction):
     d = np.asarray(direction, dtype=float)
     s = np.linalg.norm(d)
     return s * su2.observable_matrix(su2.rotate_direction(rotation, d / s))
+
+
+def rotate_directions(quaternions, directions):
+    """Reference for ``su2.rotate_directions``: the same formula in vector
+    form, ``np.sum`` for ``|q|^2`` and ``q . d`` and ``np.cross`` for
+    ``d x q``, whose rounding the per-component form keeps bit for bit."""
+    quat = np.asarray(quaternions, dtype=float)
+    d = np.asarray(directions, dtype=float)
+    q0 = quat[..., :1]
+    qv = quat[..., 1:]
+    qq = np.sum(qv * qv, axis=-1, keepdims=True)
+    qd = np.sum(qv * d, axis=-1, keepdims=True)
+    return (q0 * q0 - qq) * d + 2.0 * q0 * np.cross(d, qv) + 2.0 * qd * qv
+
+
+def channel_tables(directions, unprimed_idx, primed_idx, primed_sign):
+    """Reference for ``optimizer._channel_tables``: each table a stack of
+    last-axis gathers, whose values and strides the option-major form keeps."""
+    w = directions[..., 0] + 1j * directions[..., 1]
+    W = np.stack([w[..., unprimed_idx], primed_sign * w[..., primed_idx]], axis=-2)
+    if directions.shape[-3] % 2:
+        return W, None
+    z = directions[..., 2]
+    return W, np.stack([z[..., unprimed_idx], primed_sign * z[..., primed_idx]], axis=-2)
+
+
+def sample_key(seed, sample_index):
+    """One sample's Philox key by the contract's rule, one sha256 per call:
+    the first 16 bytes of ``sha256(b"bellframes:<seed>:<s>")`` as two
+    little-endian 64-bit words."""
+    digest = hashlib.sha256(b"bellframes:%d:%d" % (seed, sample_index)).digest()
+    return list(struct.unpack("<2Q", digest[:16]))
 
 
 def option_rows(m, sign_flips=True, unprimed_signs=False):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import evaluate, sample_frames
+from oracles import evaluate, sample_frames, sample_key
 
 from bellframes import montecarlo
 from bellframes.montecarlo import (
@@ -13,6 +13,7 @@ from bellframes.montecarlo import (
     ExperimentConfig,
     _binomial_stderr,
     _draw_frames,
+    _sample_keys,
     merge_results,
     run_experiment,
     sample_generator,
@@ -61,6 +62,14 @@ def test_sample_stream_key_is_the_sha256_rule():
     key = int.from_bytes(digest[:16], "little")
     want = np.random.Generator(np.random.Philox(key=key)).standard_normal(8)
     assert np.array_equal(sample_generator(17, 5).standard_normal(8), want)
+
+
+@pytest.mark.parametrize("seed", [0, -17, 2**64 + 5])
+def test_batched_sample_keys_equal_the_per_sample_rule(seed):
+    # One pass over a batch gives each sample the key of its own sha256,
+    # for negative seeds, seeds past 64 bits and indices near 2^62 too.
+    indices = [0, 1, 9, 10, 4000] + np.arange(2**62 - 3, 2**62 + 3).tolist()
+    assert _sample_keys(seed, indices) == [sample_key(seed, s) for s in indices]
 
 
 def test_thread_count_does_not_change_output():

@@ -11,6 +11,7 @@ from bellframes.optimizer import (
     _SCAN_ENTRIES,
     CandidateSet,
     _batch_frames,
+    _channel_tables,
     _orbit_representatives,
     _orbit_symmetries,
     _party_options,
@@ -23,6 +24,7 @@ from bellframes.optimizer import (
 )
 from oracles import (
     brute_force_max,
+    channel_tables,
     evaluate,
     exhaustive_scan,
     full_prefix_scan,
@@ -504,6 +506,32 @@ def _pair_inputs(m):
         ("-0.0", np.full((3, m, 2, 5), -0.0)),
         ("mixed zeros", mixed_zero),
     ]
+
+
+@pytest.mark.parametrize("sign_flips", [True, False])
+@pytest.mark.parametrize("m", [2, 3, 7])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_channel_tables_match_the_stacked_gathers(n, m, sign_flips):
+    # The option-major tables hold the bytes of a stack of last-axis gathers
+    # (signed zeros included) and have its strides. The strides are part of
+    # the contract: the scan's matmuls and folds pick their kernels by memory
+    # layout, and C-contiguous tables with equal values changed the last bit
+    # of the orbit scan against full_prefix_scan (a random dyadic tensor at
+    # _SCAN_ENTRIES = 64, tetrahedron-z at n = 4).
+    rng = np.random.default_rng([n, m, sign_flips])
+    quats = rng.standard_normal((5, n, 1, 4))
+    quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+    base = np.array([[random_candidate_set(m, rng).directions for _ in range(n)]
+                     for _ in range(5)])
+    dirs = su2.rotate_directions(quats, base)
+    dirs[0] = rng.choice([0.0, -0.0, 1.0, -1.0], dirs[0].shape)
+    options = _party_options(m, sign_flips)
+    got, want = _channel_tables(dirs, *options), channel_tables(dirs, *options)
+    assert (got[1] is None) == (want[1] is None) == (n % 2 == 1)
+    for table, ref in zip(got, want):
+        if ref is not None:
+            assert (table.shape, table.strides, table.dtype) == (ref.shape, ref.strides, ref.dtype)
+            assert table.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("flips", [1, 2])

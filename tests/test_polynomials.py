@@ -161,15 +161,15 @@ def test_evaluate_invariant_under_party_sign_flip():
 @pytest.mark.parametrize("family", bp.FAMILIES)
 @pytest.mark.parametrize("n", range(2, 9))
 def test_bell_sum_in_product_form(family, n):
-    # Every family is Re(u prod_k (a_k + i a'_k)) / 2^e, so u / 2^e is
-    # c_0 - i c_1 (no primed setting; party 1's alone). The GHZ correlator is
+    # Every family is Re(u prod_k (a_k + i a'_k)) / 2^e, with (u, e) read
+    # from bp.product_form and the value from the term list. The GHZ correlator is
     # Re prod_k w_k [+ prod_k z_k at even n], w = d_x + i d_y and z = d_z of
     # each party's setting, so the Bell sum is
     # Re(u/2^e (prod p_k + prod q_k)) / 2 [+ Re(u/2^e prod r_k)], with
     # p_k = w_k + i w'_k, q_k = conj(w_k) + i conj(w'_k), r_k = z_k + i z'_k.
     poly = bp.make_polynomial(family, n)
-    coeff = dict(poly.terms)
-    u = float(coeff.get(0, 0)) - 1j * float(coeff.get(1, 0))
+    u, e = bp.product_form(family, n)
+    u /= 2**e
     rng = np.random.default_rng([n, bp.FAMILIES.index(family)])
     for _ in range(5):
         d = rng.standard_normal((n, 2, 3))

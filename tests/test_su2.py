@@ -1,9 +1,11 @@
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
 
+import oracles
 from bellframes import su2
 from oracles import octant_fractions, quat_multiply, uniform_sphere
 
@@ -169,6 +171,35 @@ def test_rotate_direction_matches_matrix_conjugation():
         back = np.array([conj[1, 0].real, conj[1, 0].imag, conj[0, 0].real])
         assert np.allclose(out, back, atol=1e-12)
         assert abs(out @ out - 1.0) < 1e-12
+
+
+def test_rotate_directions_matches_the_vector_formula_bit_for_bit():
+    # The per-component form rounds as the np.sum/np.cross form does, so
+    # every seeded output keeps its bits: same bytes, signed zeros included,
+    # and same strides. Checked on score_frames' (B, n, 1, 4) x (B, n, m, 3)
+    # broadcast (per-frame and shared bases), on the 1-D form of
+    # rotate_direction and on the (N, 4) x (3,) form. The quaternions are
+    # Haar draws and every one with entries from {+-0, +-1, +-sqrt(1/2)},
+    # which holds the identity and the half and quarter turns about the
+    # axes; the directions likewise hold the Pauli axes with zeros of
+    # either sign.
+    rng = np.random.default_rng(14)
+    quats = rng.standard_normal((24, 3, 1, 4))
+    quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+    base = rng.standard_normal((24, 3, 5, 3))
+    base /= np.linalg.norm(base, axis=-1, keepdims=True)
+    grid = (0.0, -0.0, 1.0, -1.0, math.sqrt(0.5))
+    grid_quats = np.array(list(itertools.product(grid, repeat=4)))
+    grid_dirs = np.array(list(itertools.product(grid, repeat=3)))
+    cases = [(quats, base), (quats, np.broadcast_to(base[0, 0], base.shape)),
+             (grid_quats[:, None, None], np.broadcast_to(grid_dirs, (625, 1, 125, 3))),
+             (grid_quats, su2.Z_AXIS), (grid_quats, -su2.X_AXIS)]
+    cases += list(zip(grid_quats[::3], grid_dirs))
+    cases += list(zip(quats.reshape(-1, 4), base[:, :, 0].reshape(-1, 3)))
+    for q, d in cases:
+        got, want = su2.rotate_directions(q, d), oracles.rotate_directions(q, d)
+        assert (got.shape, got.strides) == (want.shape, want.strides)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_rotate_direction_preserves_inner_products():
