@@ -39,6 +39,7 @@ has zero norm (measure zero).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -107,6 +108,10 @@ class ExperimentConfig:
     frame_measure: str = FRAME_HAAR
 
     def __post_init__(self):
+        types = dict(n=int, samples=int, seed=int, sample_offset=int, sign_flips=bool)
+        for name, kind in types.items():
+            if type(getattr(self, name)) is not kind:
+                raise ValueError(f"{name} must be of type {kind.__name__}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if not (math.isfinite(self.bin_width) and self.bin_width > 0):
@@ -223,18 +228,17 @@ def _draw_frames(config, m, indices, fixed_set):
     return quats, base
 
 
-def _compute_batch(config, ctensor, fixed_set, m, indices, out):
-    """Score samples ``indices`` (global sample ids) into ``out`` (same length)."""
-    best, _ = score_frames(ctensor, *_draw_frames(config, m, indices, fixed_set),
-                           config.sign_flips)
-    out[:] = best
+def _compute_batch(config, ctensor, fixed_set, m, indices):
+    """The best values of samples ``indices`` (global sample ids)."""
+    return score_frames(ctensor, *_draw_frames(config, m, indices, fixed_set),
+                        config.sign_flips)[0]
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Estimate the distribution of maximal Bell values for ``config``.
 
-    ``threads`` only partitions the batched scan across a thread pool; the
-    per-sample streams make the output independent of the partitioning.
+    Each batch returns its values; ``threads`` only maps batches over a pool,
+    and per-sample streams make the output independent of the partitioning.
     """
     top = bounds_table(config.n, config.family).threshold("AlgebraicMax")
     if _bin_count(top, config.bin_width) > MAX_BINS:
@@ -252,23 +256,14 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> ExperimentResu
     ctensor = make_polynomial(config.family, config.n).coefficient_tensor()
 
     indices = np.arange(config.sample_offset, config.sample_offset + config.samples)
-    values = np.empty(config.samples)
     batch = _batch_frames(m, config.n, config.sign_flips)
-    jobs = [
-        (indices[lo : lo + batch], values[lo : lo + batch])
-        for lo in range(0, config.samples, batch)
-    ]
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(
-                pool.map(
-                    lambda job: _compute_batch(config, ctensor, fixed_set, m, *job),
-                    jobs,
-                )
-            )
+    batches = [indices[lo : lo + batch] for lo in range(0, config.samples, batch)]
+    compute = functools.partial(_compute_batch, config, ctensor, fixed_set, m)
+    if threads <= 1 or len(batches) == 1:
+        values = np.concatenate(list(map(compute, batches)))
     else:
-        for job in jobs:
-            _compute_batch(config, ctensor, fixed_set, m, *job)
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            values = np.concatenate(list(pool.map(compute, batches)))
     return _build_result(config, values, total)
 
 
@@ -346,13 +341,11 @@ def _number_format(v):
 
 def _fmt_value(v) -> str:
     """One value of an output file: a number by :func:`_number_format`, a
-    bool as JSON's ``true``/``false``, a list as objects (iterables of
-    ``(key, value)`` pairs) one per line, and a string as a JSON string."""
+    list as objects (iterables of ``(key, value)`` pairs) one per line, and
+    anything else, bools and strings, as JSON."""
     fmt = _number_format(v)
     if fmt:
         return fmt % v
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, list):
         return "[\n" + ",\n".join("    {" + _json_pairs(obj, ", ") + "}" for obj in v) + "\n  ]"
     return json.dumps(v)

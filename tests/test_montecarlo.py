@@ -419,6 +419,17 @@ def test_invalid_config_rejected():
         run_experiment(small_config(family="chsh"))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", True), ("sign_flips", "off"), ("samples", 2.5), ("n", 3.0),
+    ("sample_offset", 1.0),
+])
+def test_config_fields_written_to_the_outputs_must_have_their_types(field, value):
+    # seed=1.5 would run seed 1's streams and sign_flips="off" would flip signs,
+    # while summary.json recorded the value as given.
+    with pytest.raises(ValueError, match=field):
+        small_config(**{field: value})
+
+
 def test_random_candidates_redrawn_per_sample():
     res = run_experiment(small_config(candidates="random:3", samples=60))
     # values must differ across samples (fresh geometry each time)
