@@ -328,24 +328,13 @@ def merge_results(a: ExperimentResult, b: ExperimentResult) -> ExperimentResult:
     return _build_result(merged, values, a.evaluations + b.evaluations)
 
 
-def _number_format(v):
-    """The ``%`` format of a number in an output file: ``%.17g`` for a float
-    (``np.float64`` included; 17 significant digits round-trip any double
-    exactly) and ``%d`` for an int; ``None`` for anything else, bools included."""
-    if isinstance(v, float):
-        return "%.17g"
-    if isinstance(v, int) and not isinstance(v, bool):
-        return "%d"
-    return None
-
-
 def _fmt_value(v) -> str:
-    """One value of an output file: a number by :func:`_number_format`, a
-    list as objects (iterables of ``(key, value)`` pairs) one per line, and
-    anything else, bools and strings, as JSON."""
-    fmt = _number_format(v)
-    if fmt:
-        return fmt % v
+    """One value of an output file: a float (``np.float64`` included) as
+    ``%.17g``, whose 17 significant digits round-trip any double exactly; a
+    list as objects (iterables of ``(key, value)`` pairs) one per line; and
+    anything else as JSON, which writes an int as ``%d`` does."""
+    if isinstance(v, float):
+        return "%.17g" % v
     if isinstance(v, list):
         return "[\n" + ",\n".join("    {" + _json_pairs(obj, ", ") + "}" for obj in v) + "\n  ]"
     return json.dumps(v)

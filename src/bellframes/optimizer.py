@@ -43,13 +43,15 @@ rounding is monotone, so ``a_i`` plus the largest ``b_j`` with ``j != i``
 is row i's largest rounded entry.
 
 Assignments are ordered lexicographically (party, then base pair, then
-primed sign, + before -), and ties keep the earliest. Each scan step keeps,
-per frame, only the best entry, its prefix and that prefix's ``a_i``,
-``b_j``. The last party's digit is then read off the option table: the
-earliest ``(i, j, s)`` with the largest ``|a_i + s b_j|``, exactly the
-earliest best assignment: the ``s`` that gives ``s b_j`` the sign of
-``a_i`` scores ``fl(|a_i| + |b_j|)`` bit for bit, the prefix's value, and
-the other ``s`` no more. Results are deterministic.
+primed sign, + before -), and ties keep the earliest. Each scan step
+reports, per frame, its earliest best prefix, that prefix's value and its
+``a_i``, ``b_j``; after the loop one ``argmax`` over the steps, which
+returns the first maximum, picks each frame's earliest best step. The last
+party's digit is then read off the option table: the earliest
+``(i, j, s)`` with the largest ``|a_i + s b_j|``, exactly the earliest best
+assignment: the ``s`` that gives ``s b_j`` the sign of ``a_i`` scores
+``fl(|a_i| + |b_j|)`` bit for bit, the prefix's value, and the other ``s``
+no more. Results are deterministic.
 
 Symmetry orbits. With sign flips, option ``(i, j, s)`` of party k sets
 ``A = d_i`` and ``A' = s d_j``. ``T_k``, ``(i, j, s) -> (j, i, -s)``, maps
@@ -371,10 +373,12 @@ def bell_values_over_assignments(ctensor, W, Z, last):
     option tables: :func:`_largest_pair_entries` gives each prefix the
     largest entry of its m x m pair table in O(m) passes. Party-1 options
     are scanned in groups of ``_batch_frames(...) // B`` (at least one
-    option per group), the one memory rule; each step keeps per frame only
-    the best value, the winning prefix and its ``a_i``, ``b_j``. After the
-    loop the last party's digit is the earliest option ``(i, j, s)`` of
-    :func:`_party_options` with the largest ``|a_i + s b_j|``.
+    option per group), the one memory rule. Each step reports per frame its
+    earliest best prefix, the value and the prefix's ``a_i``, ``b_j``; one
+    ``argmax`` over the steps then picks the earliest best step. The last
+    party's digit is the earliest option ``(i, j, s)`` of
+    :func:`_party_options` with the largest ``|a_i + s b_j|``, and one
+    ``np.ravel_multi_index`` over the n digits gives the flat index.
     """
     B, n, _, K = W.shape
     m = last.shape[-2]
@@ -391,9 +395,7 @@ def bell_values_over_assignments(ctensor, W, Z, last):
                       for T in (W, Z))
     group = max(1, min(len(first), _batch_frames(m, n, flips > 1) // B))
     frames = np.arange(B)
-    best = np.full(B, -np.inf)
-    best_prefix = np.zeros(B, dtype=np.int64)
-    best_ab = np.zeros((B, m, 2))
+    steps = []  # per step: each frame's best value, its prefix and the prefix's a_i, b_j
     for lo in range(0, len(first), group):
         o1 = first[lo : lo + group]
         acc = _fold_parties(ct @ W[:, 0][..., o1], W_rest)
@@ -404,18 +406,17 @@ def bell_values_over_assignments(ctensor, W, Z, last):
         ab = (rows @ np.stack(parts, axis=1).reshape(B, c, 2 * P)).reshape(B, m, 2, P)
         per_prefix = _largest_pair_entries(ab, flips)
         prefix = per_prefix.argmax(axis=1)
-        chunk_best = per_prefix[frames, prefix]
-        improved = chunk_best > best
-        best[improved] = chunk_best[improved]
-        best_prefix[improved] = lo * len(rest) ** (n - 2) + prefix[improved]
-        best_ab[improved] = ab[frames, :, :, prefix][improved]
-    # The winning representative prefix as base-K option digits.
-    digits = np.unravel_index(best_prefix, (len(first),) + (len(rest),) * (n - 2))
-    best_prefix = np.ravel_multi_index([first[digits[0]]] + [rest[d] for d in digits[1:]],
-                                       (K,) * (n - 1))
+        steps.append((per_prefix[frames, prefix], lo * len(rest) ** (n - 2) + prefix,
+                      ab[frames, :, :, prefix]))
+    # argmax takes the first maximum: ties keep the earliest step.
+    best, prefix, ab = map(np.stack, zip(*steps))
+    step = best.argmax(axis=0)
+    best, prefix, ab = best[step, frames], prefix[step, frames], ab[step, frames]
+    digits = np.unravel_index(prefix, (len(first),) + (len(rest),) * (n - 2))
     uidx, pidx, psign = _party_options(m, flips > 1)
-    score = np.abs(best_ab[:, uidx, 0] + psign * best_ab[:, pidx, 1])
-    return best, best_prefix * K + score.argmax(axis=1)
+    last_digit = np.abs(ab[:, uidx, 0] + psign * ab[:, pidx, 1]).argmax(axis=1)
+    return best, np.ravel_multi_index(
+        (first[digits[0]], *(rest[d] for d in digits[1:]), last_digit), (K,) * n)
 
 
 def _batch_frames(m: int, n: int, sign_flips: bool) -> int:

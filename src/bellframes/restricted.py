@@ -23,7 +23,8 @@ and one formula:
 
 The primary value is the sum of the per-term expectations. Changing party 1
 multiplies its two settings' factors ``1, -i`` by ``-i``, hence every term,
-which turns ``Re`` into ``Im``. Swapping every party sends ``(-i)^p`` to
+which turns ``Re`` into ``Im``: :func:`strategy_value` computes the swapped
+value as the primary one of ``-i g``. Swapping every party sends ``(-i)^p`` to
 ``(-i)^(n-p)``, giving ``(-i)^n conj(g)``; for odd-n Mermin/MK ``g`` is real
 or imaginary, so that too is ``Im(e^{i Theta} g)`` up to sign.
 
@@ -70,9 +71,10 @@ def _check_strategy(strategy: str) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _phasor(family: str, n: int) -> complex:
-    """:meth:`BellPolynomial.ghz_phasor`, cached: building a polynomial and its phasor
-    takes 7-260 us for n = 2..8 (one Xeon core), a cached call 0.1 us, and
-    scalar callers of :func:`strategy_value` (demos, tests) call it once per angle."""
+    """:meth:`BellPolynomial.ghz_phasor`, cached: the phasor sum of a cached
+    polynomial takes 2.8, 8.4 and 124 us at n = 3, 5 and 8 (MK, one Xeon core), a
+    cached call 0.1 us and a whole scalar :func:`strategy_value` about 4.5 us, and
+    scalar callers (demos, tests) call it once per angle."""
     return make_polynomial(family, n).ghz_phasor()
 
 
@@ -91,10 +93,9 @@ def strategy_value(family: str, n: int, theta_total, strategy: str):
     angles = theta.ravel().tolist()
     c = np.fromiter(map(math.cos, angles), float, len(angles)).reshape(theta.shape)
     s = np.fromiter(map(math.sin, angles), float, len(angles)).reshape(theta.shape)
-    if strategy == STRATEGY_PRIMARY:
-        value = np.abs(g.real * c - g.imag * s)
-    else:
-        value = np.abs(g.real * s + g.imag * c)
+    if strategy == STRATEGY_SWAPPED:
+        g *= -1j  # party 1's two factors times -i: Re(e^{i Theta} g) becomes Im
+    value = np.abs(g.real * c - g.imag * s)
     return value if theta.ndim else float(value)
 
 

@@ -40,10 +40,10 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 def _check_unit_norm2(norm2, name: str) -> None:
     """The unit-norm rule: reject ``|v|^2 = norm2`` unless it is within
-    ``64 UNIT_TOL`` of 1. Plain arithmetic, so :class:`Rotation`'s Python
-    float is checked without NumPy, and the message shows each caller's
-    value as it computed it."""
-    if abs(norm2 - 1.0) > 64 * UNIT_TOL:
+    ``64 UNIT_TOL`` of 1, which a NaN is not. Plain arithmetic, so
+    :class:`Rotation`'s Python float is checked without NumPy, and the message
+    shows each caller's value as it computed it."""
+    if not abs(norm2 - 1.0) <= 64 * UNIT_TOL:
         raise ValueError(f"{name} is not unit-norm: |{name[0]}|^2 = {norm2!r}")
 
 
@@ -58,7 +58,8 @@ def check_unit_direction(direction) -> np.ndarray:
 
 def check_unit_norms(vectors, name: str) -> None:
     """Reject a stack ``(..., k)`` of vectors unless every ``|v|^2`` passes
-    the unit-norm rule. The vector furthest from unit norm is reported.
+    the unit-norm rule. The vector furthest from unit norm, or the first
+    NaN, is reported.
     """
     norm2 = np.einsum("...i,...i->...", vectors, vectors).reshape(-1)
     _check_unit_norm2(norm2[np.argmax(abs(norm2 - 1.0))], name)

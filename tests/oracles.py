@@ -8,7 +8,7 @@ import struct
 import numpy as np
 
 from bellframes import optimizer, su2
-from bellframes.montecarlo import CROSSING_TOL, FRAME_HAAR, _number_format, sample_generator
+from bellframes.montecarlo import CROSSING_TOL, FRAME_HAAR, sample_generator
 from bellframes.optimizer import make_candidate_set, random_candidate_set
 
 
@@ -310,7 +310,7 @@ def csv_rows(header, rows):
     head = ",".join(header) + "\n"
     if not rows:
         return head
-    line = ",".join(map(_number_format, rows[0])) + "\n"
+    line = ",".join("%.17g" if isinstance(v, float) else "%d" for v in rows[0]) + "\n"
     return head + (line * len(rows)) % tuple(itertools.chain.from_iterable(rows))
 
 

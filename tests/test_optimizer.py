@@ -85,10 +85,28 @@ def test_random_candidate_set_needs_two_directions():
 def test_make_candidate_set_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_candidate_set("cube")
+    with pytest.raises(ValueError, match="need an rng"):
+        make_candidate_set("random:3")
     # Spellings int() accepts but that would not name the kind random:7 or random:10.
     for kind in RANDOM_KIND_MISSPELLINGS:
         with pytest.raises(ValueError, match="must be an integer"):
             make_candidate_set(kind, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: CandidateSet("bad", np.array([[math.nan, 0.0, 0.0], [1.0, 0.0, 0.0]])),
+    lambda: inplane_candidate_set([math.nan, 0.0]),
+    lambda: su2.Rotation(math.nan, 0.0, 0.0, 0.0),
+    lambda: su2.Rotation.from_axis_angle([1.0, 0.0, 0.0], math.nan),
+    lambda: su2.check_unit_direction([math.nan, 0.0, 0.0]),
+    lambda: su2.observable_matrix([0.0, math.nan, 0.0]),
+], ids=["CandidateSet", "inplane_candidate_set", "Rotation", "from_axis_angle",
+        "check_unit_direction", "observable_matrix"])
+def test_nan_fails_the_unit_norm_rule(build):
+    # |v|^2 = nan is not within the tolerance of 1. Let through, a NaN
+    # candidate set makes max_bell_value return -inf.
+    with pytest.raises(ValueError, match="not unit-norm"):
+        build()
 
 
 def test_candidate_set_validates_directions():

@@ -207,6 +207,8 @@ def test_bounds_table_mk3():
     assert table.lhv_bound == 1.0
     assert table.threshold("GME(2)") == 1.0
     assert abs(table.threshold("GME(3)") - math.sqrt(2)) < 1e-15
+    with pytest.raises(KeyError):
+        table.threshold("nope")
 
 
 def test_bounds_table_svetlichny():

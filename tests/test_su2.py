@@ -143,6 +143,8 @@ def test_observable_matrix_rejects_non_unit():
     message = f"direction is not unit-norm: |d|^2 = {np.float64(0.25)!r}"
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         su2.observable_matrix(np.array([0.5, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=re.escape("shape (3,), got (2,)")):
+        su2.observable_matrix(np.array([1.0, 0.0]))
 
 
 def test_check_unit_norms_reports_the_vector_furthest_from_unit_norm():
@@ -255,6 +257,17 @@ def test_statevector_party_cap():
     ident = su2.Rotation.identity()
     with pytest.raises(ValueError):
         su2.statevector_expectation([ident] * 11, [su2.SIGMA_X] * 11)
+    with pytest.raises(ValueError, match="counts differ"):
+        su2.statevector_expectation([ident] * 3, [su2.SIGMA_X] * 2)
+
+
+def test_correlators_reject_a_non_hermitian_observable():
+    # <G_1| O |G_1> = O[0, 1] / 2 = i / 2: no real expectation.
+    o = np.array([[0.0, 1j], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        su2.ghz_correlator([o])
+    with pytest.raises(ValueError, match="non-real expectation"):
+        su2.statevector_expectation([su2.Rotation.identity()], [o])
 
 
 def test_statevector_agrees_with_closed_form():

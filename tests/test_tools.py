@@ -1,5 +1,6 @@
 """tools/src_lines.py counts total and code lines the way ROADMAP reads them,
-and every ``src/`` module uses each name it imports."""
+every ``src/`` module uses each name it imports, and ``src/`` uses each of
+its private helpers."""
 
 import ast
 import importlib.util
@@ -69,4 +70,31 @@ def test_src_modules_use_every_name_they_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used and (path.stem, name) not in wrapped]
+    assert not unused
+
+
+def test_src_private_helpers_are_used_in_src():
+    # A top-level _name that no src/ module reads as a name or an attribute
+    # serves only tests or nothing: move it to tests/oracles.py or delete it.
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "bellframes").glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{name}:{d}" for d in defined
+                       if d.startswith("_") and not d.endswith("__") and d not in used]
     assert not unused
