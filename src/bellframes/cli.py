@@ -100,8 +100,8 @@ def cmd_sample(args) -> int:
             sign_flips=args.sign_flips == "on",
             budget=args.budget,
         )
-        result = run_experiment(config, threads=max(1, args.threads))
-    except (BudgetExceededError, ValueError) as exc:
+        result = run_experiment(config, threads=args.threads)
+    except (BudgetExceededError, MemoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     write_histogram_csv(result, args.out / "hist.csv")

@@ -353,35 +353,35 @@ def json_document(fields) -> str:
 def csv_document(header, rows) -> str:
     """A CSV document: the ``header`` names, then one line per row of the 2-D
     float64 array ``rows``, each value ``%.17g``, written by
-    :func:`_float_table` in blocks of rows."""
+    :func:`_float_table` in blocks of rows (its kernel writes the positive
+    values in ``[1e-4, 1e15)``, ``%`` every other value)."""
     step = -(-_TABLE_BLOCK // rows.shape[1])
     return ",".join(header) + "\n" + "".join(
         _float_table(rows[lo : lo + step]) for lo in range(0, len(rows), step))
 
 
-# _float_table writes |x| in [2e-6, 1e15) itself: there the decimal exponent
-# e of x lies in -6..14 (-6..15 as first guessed), so k = 16 - e <= 22,
-# 5^k < 2^52 and m 5^k fits in two 64-bit words.
-_POW5 = np.array([5**k for k in range(23)], dtype=np.uint64)
-# Per exponent e = -6..15 (row e + 6): the digit that the point follows (17:
-# none, the prefix holds it), and 8 bytes each of prefix and suffix.
-_LAYOUT = [(e if e >= 0 else 0 if e < -4 else 17,
-            b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"",
-            b"e-%02d" % -e if e < -4 else b"") for e in range(-6, 16)]
-_DOT = np.array([dot for dot, _, _ in _LAYOUT], dtype=np.int8)
-_AFFIXES = np.frombuffer(b"".join(p.ljust(8, b"\0") + s.ljust(8, b"\0") for _, p, s in _LAYOUT),
-                         dtype=np.uint64).reshape(-1, 2)
+# _float_table writes positive x in [1e-4, 1e15), all fixed notation in %g.
+# Each fl(10^k) here, parsed (not 10.0**k), is >= 10^k (fl(1e-6) is not), so
+# searchsorted gives x's decimal exponent e in -4..14 exactly. Then k = 16 - e
+# <= 20, 5^k < 2^47 and m 5^k fits in two 64-bit words.
+_POW10 = np.array([float(f"1e{k}") for k in range(-4, 16)])
+_POW5 = np.array([5**k for k in range(21)], dtype=np.uint64)
+# Per exponent e = -4..15 (row e + 4): the digit that the point follows (17:
+# none, the prefix holds it), and the prefix "0.000" in 8 bytes.
+_LAYOUT = [(e, b"") if e >= 0 else (17, b"0." + b"0" * (-e - 1)) for e in range(-4, 16)]
+_DOT = np.array([dot for dot, _ in _LAYOUT], dtype=np.int8)
+_PREFIX = np.frombuffer(b"".join(p.ljust(8, b"\0") for _, p in _LAYOUT), dtype=np.uint64)
 _DIGIT = np.arange(17, dtype=np.int8)[:, None]
-# One value's bytes: sign, prefix "0.000", 17 digits and a point, suffix
-# "e-0X", separator. Zero bytes are dropped.
-_CELL = 29
+# One value's bytes: prefix, 17 digits and a point, separator; the %-path's
+# widest value, -1.7976931348623157e+308, fills 24. Zero bytes are dropped.
+_CELL = 25
 # Values per _float_table call, which bounds its working memory.
 _TABLE_BLOCK = 1 << 14
 
 
 def _scaled(m, q, e):
-    """``m 2^q 10^(16-e)`` truncated, and rounded half to even, for uint64
-    ``m < 2^53`` and int64 ``q`` and ``e`` in the exact range."""
+    """``m 2^q 10^(16-e)`` rounded half to even, for uint64 ``m < 2^53`` and
+    int64 ``q`` and ``e`` in the exact range."""
     k = 16 - e
     f = _POW5.take(k)
     ml, mh, fl, fh = m & 0xFFFFFFFF, m >> 32, f & 0xFFFFFFFF, f >> 32
@@ -393,40 +393,36 @@ def _scaled(m, q, e):
     t = (hi << (64 - shift)) | (lo >> shift)
     rem = lo & ((np.uint64(1) << shift) - 1)
     half = np.uint64(1) << (shift - 1)
-    return t, t + ((rem > half) | ((rem == half) & (t & 1).astype(bool)))
+    return t + ((rem > half) | ((rem == half) & (t & 1).astype(bool)))
 
 
 def _decimal(x):
-    """``(exact, N, e)``: where ``exact``, ``|x|`` rounds to ``N 10^(e-16)``
-    with ``10^16 <= N < 10^17``, in integer arithmetic, ``e`` guessed from
-    ``log10`` and corrected; elsewhere ``N`` and ``e`` are those of 1.
+    """``(exact, N, e)``: where ``exact`` (positive ``x`` in ``[1e-4,
+    1e15)``), ``x`` rounds to ``N 10^(e-16)`` with ``10^16 <= N < 10^17``, in
+    integer arithmetic, ``e`` exact from ``_POW10``; elsewhere ``N`` and
+    ``e`` are those of 1.
 
-    ``N`` never rounds up to ``10^17``: the largest double below each power
-    of ten in the exact range rounds to 17 digits below that power."""
-    a = np.abs(x)
-    exact = (a >= 2e-6) & (a < 1e15)
-    a[~exact] = 1.0
+    ``x >= 10^e`` makes ``N >= 10^16``. ``N`` never rounds up to ``10^17``:
+    the largest double below each power of ten in the exact range rounds to
+    17 digits below that power."""
+    exact = (x >= _POW10[0]) & (x < _POW10[-1])
+    a = np.where(exact, x, 1.0)
     bits = a.view(np.uint64)
     m = (bits & 0xFFFFFFFFFFFFF) | (1 << 52)
     q = (bits >> 52).astype(np.int64) - 1075
-    e = np.floor(np.log10(a)).astype(np.int64)
-    t, N = _scaled(m, q, e)
-    off = (t >= 10**17).astype(np.int64) - (t < 10**16)
-    bad = np.flatnonzero(off)
-    if bad.size:
-        e[bad] += off[bad]
-        N[bad] = _scaled(m[bad], q[bad], e[bad])[1]
-    return exact, N, e
+    e = np.searchsorted(_POW10, a, side="right") - 5
+    return exact, _scaled(m, q, e), e
 
 
 def _float_table(values) -> str:
     """The CSV lines of a 2-D float64 array, byte for byte one ``%.17g`` per
     value joined with ``,`` and ``\\n`` (the ``%`` path is its oracle).
 
-    :func:`_decimal` gives each value's 17 digits, laid out as ``%g`` does:
-    fixed notation for exponents -4..16, else ``d.ddde-0X``, trailing zeros
-    dropped. Values outside the exact range (zeros, ``|x| < 2e-6``,
-    ``|x| >= 1e15``, inf, nan) are written by ``%`` into the same cells.
+    :func:`_decimal` gives the 17 digits of each positive value in ``[1e-4,
+    1e15)``, which ``%g`` writes in fixed notation, and they are laid out
+    as ``%g`` does, trailing zeros dropped. ``%`` writes every other
+    value (negatives, zeros, ``x < 1e-4``, ``x >= 1e15``, inf, nan) into the
+    same cells.
     """
     C = values.shape[1]
     x = values.ravel()
@@ -444,23 +440,20 @@ def _float_table(values) -> str:
     last = ((digits != 0) * _DIGIT).max(axis=0)
     digits += 48
     digits *= _DIGIT <= np.maximum(last, e.astype(np.int8))
-    dot = _DOT.take(e + 6)
+    dot = _DOT.take(e + 4)
     cells = np.zeros((_CELL, V), np.uint8)
-    np.multiply(digits, _DIGIT <= dot, out=cells[6:23])
-    cells[7:24] += digits * (_DIGIT > dot)
+    np.multiply(digits, _DIGIT <= dot, out=cells[5:22])
+    cells[6:23] += digits * (_DIGIT > dot)
     pointed = np.flatnonzero(last > dot)
-    cells.ravel()[(7 + dot[pointed].astype(np.intp)) * V + pointed] = 46
-    cells[0] = (x < 0) * np.uint8(45)
-    affixes = _AFFIXES.take(e + 6, axis=0).view(np.uint8)
-    cells[1:6] = affixes[:, :5].T
-    cells[24:28] = affixes[:, 8:12].T
-    cells[28] = 44
-    cells[28, C - 1 :: C] = 10
+    cells.ravel()[(6 + dot[pointed].astype(np.intp)) * V + pointed] = 46
+    cells[:5] = _PREFIX.take(e + 4).view(np.uint8).reshape(V, 8)[:, :5].T
+    cells[24] = 44
+    cells[24, C - 1 :: C] = 10
     rest = np.flatnonzero(~exact)
     if rest.size:
-        text = ("%-28.17g" * rest.size) % tuple(x[rest].tolist())
-        padded = np.frombuffer(text.encode(), np.uint8).reshape(-1, 28)
-        cells[:28, rest] = (padded * (padded != 32)).T
+        text = ("%-24.17g" * rest.size) % tuple(x[rest].tolist())
+        padded = np.frombuffer(text.encode(), np.uint8).reshape(-1, 24)
+        cells[:24, rest] = (padded * (padded != 32)).T
     return cells.tobytes(order="F").translate(None, b"\0").decode()
 
 

@@ -471,11 +471,10 @@ def max_bell_value(
     best, best_idx = score_frames(polynomial.coefficient_tensor(), quats,
                                   candidates.directions, sign_flips)
     uidx, pidx, psign = _party_options(candidates.size, sign_flips)
-    K = len(uidx)
-    digits = np.unravel_index(int(best_idx[0]), (K,) * n)
+    digits = np.unravel_index(int(best_idx[0]), (len(uidx),) * n)
     assignment = tuple((int(uidx[o]), int(pidx[o]), float(psign[o])) for o in digits)
     return OptimizationOutcome(
         bell_value=float(best[0]),
         assignment=assignment,
-        evaluations=K**n,
+        evaluations=assignment_count(candidates.size, n, sign_flips),
     )

@@ -213,8 +213,7 @@ def bounds_table(n: int, family: str) -> BoundsTable:
     of ``Sep(l+1)`` models. Mermin at even ``n`` carries no ladder. Tables
     are cached; a table is frozen and holds tuples, so callers share it.
     """
-    _check_party_count(n)
-    _check_family(family)
+    poly = make_polynomial(family, n)
     thresholds: list[tuple[str, float]] = []
     ladder = family == FAMILY_MK or (family == FAMILY_MERMIN and n % 2 == 1)
     if ladder:
@@ -226,7 +225,6 @@ def bounds_table(n: int, family: str) -> BoundsTable:
     elif family == FAMILY_SVETLICHNY:
         for m in range(1, n):
             thresholds.append((f"Sep({m})", _sep_membership_bound(n, m + 1)))
-    poly = make_polynomial(family, n)
     thresholds.append(("AlgebraicMax", poly.algebraic_max()))
     thresholds.append(("GhzQuantumValue", abs(poly.ghz_phasor())))
     return BoundsTable(n=n, family=family, lhv_bound=LHV_BOUND, thresholds=tuple(thresholds))

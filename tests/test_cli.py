@@ -54,9 +54,11 @@ def test_sample_byte_identical_reruns(tmp_path):
             "--samples", "200", "--seed", "9"]
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_cli(args + ["--out", str(out1), "--threads", "1"]) == 0
-    assert run_cli(args + ["--out", str(out2), "--threads", "3"]) == 0
-    assert (out1 / "hist.csv").read_bytes() == (out2 / "hist.csv").read_bytes()
-    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+    # Thread counts below 1 run serially.
+    for threads in ("3", "0", "-2"):
+        assert run_cli(args + ["--out", str(out2), "--threads", threads]) == 0
+        assert (out1 / "hist.csv").read_bytes() == (out2 / "hist.csv").read_bytes()
+        assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
 
 # sha256 of (hist.csv, summary.json) for small seeded runs: a rewrite of the
@@ -127,6 +129,24 @@ def test_sample_budget_overrun_is_config_error(tmp_path, capsys):
     ])
     assert code == 2
     assert "budget" in capsys.readouterr().err
+
+
+def test_sample_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    # A raised --budget can admit a scan step larger than memory; NumPy's
+    # allocation failure is raised here rather than provoked.
+    def run_experiment(config, threads):
+        raise MemoryError("Unable to allocate 113. GiB for an array")
+
+    monkeypatch.setattr(cli, "run_experiment", run_experiment)
+    assert run_cli([
+        "sample", "--n", "5", "--family", "mermin", "--candidates", "random:40",
+        "--samples", "1", "--budget", str(10**20), "--threads", "1",
+        "--out", str(tmp_path / "x"),
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 113. GiB for an array\n"
+    assert not (tmp_path / "x").exists()
 
 
 def test_sample_rejects_bad_flags(tmp_path):

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -479,3 +481,12 @@ def test_write_lf_replaces_a_longer_file_and_creates_its_directory(tmp_path):
     assert path.read_bytes() == b"short\nlines\n"
     write_lf(path, "")
     assert path.read_bytes() == b""
+
+
+def test_pow10_entries_are_at_or_above_their_powers():
+    # _float_table's exact exponent: each entry is fl(10^k) and at least 10^k,
+    # so a double is at least the entry exactly when it is at least 10^k.
+    for entry in montecarlo._POW10.tolist():
+        k = round(math.log10(entry))
+        assert entry == float(Fraction(10) ** k)
+        assert Fraction(entry) >= Fraction(10) ** k, entry

@@ -77,7 +77,7 @@ def _bit_table(width, words):
 
 
 # Raw bit patterns, half of them with an exponent (and so a %g layout) in or
-# near the exact range of montecarlo._float_table, 2e-6 <= |x| < 1e15.
+# near the exact range of montecarlo._float_table, positive 1e-4 <= x < 1e15.
 words = st.one_of(st.integers(0, 2**64 - 1),
                   st.builds(lambda sign, exp, frac: sign << 63 | exp << 52 | frac,
                             st.integers(0, 1), st.integers(1000, 1076), st.integers(0, 2**52 - 1)))
@@ -87,7 +87,7 @@ bit_tables = st.integers(1, 5).flatmap(
 # significant digits end in 5, a half-way tie for %.17g wherever it is exact.
 TIES = [(2.0**-k, 1.0 + 2.0**-k, 2.0 ** (10 ** max(0, 17 - k) - 1).bit_length() + 2.0**-k)
         for k in range(1, 61)]
-# The doubles on both sides of 10^k and of the exact range's edges.
+# The doubles on both sides of 10^k, of 2e-6 and of 1e15.
 EDGES = [(np.nextafter(p, 0.0), p, np.nextafter(p, math.inf))
          for p in [10.0**k for k in range(-7, 17)] + [2e-6, 1e15]]
 
