@@ -354,7 +354,8 @@ def csv_document(header, rows) -> str:
     """A CSV document: the ``header`` names, then one line per row of the 2-D
     float64 array ``rows``, each value ``%.17g``, written by
     :func:`_float_table` in blocks of rows (its kernel writes the positive
-    values in ``[1e-4, 1e15)``, ``%`` every other value)."""
+    values in ``[1e-4, 1e15)`` from one error-free float64 product each,
+    ``%`` every other value)."""
     step = -(-_TABLE_BLOCK // rows.shape[1])
     return ",".join(header) + "\n" + "".join(
         _float_table(rows[lo : lo + step]) for lo in range(0, len(rows), step))
@@ -363,9 +364,10 @@ def csv_document(header, rows) -> str:
 # _float_table writes positive x in [1e-4, 1e15), all fixed notation in %g.
 # Each fl(10^k) here, parsed (not 10.0**k), is >= 10^k (fl(1e-6) is not), so
 # searchsorted gives x's decimal exponent e in -4..14 exactly. Then k = 16 - e
-# <= 20, 5^k < 2^47 and m 5^k fits in two 64-bit words.
+# <= 20, so 10^k = 2^k 5^k with 5^k < 2^47 is an exact double (_TEN), and
+# x 10^k is one float64 product plus its exact error (see _decimal).
 _POW10 = np.array([float(f"1e{k}") for k in range(-4, 16)])
-_POW5 = np.array([5**k for k in range(21)], dtype=np.uint64)
+_TEN = np.array([float(10**k) for k in range(21)])
 # Per exponent e = -4..15 (row e + 4): the digit that the point follows (17:
 # none, the prefix holds it), and the prefix "0.000" in 8 bytes.
 _LAYOUT = [(e, b"") if e >= 0 else (17, b"0." + b"0" * (-e - 1)) for e in range(-4, 16)]
@@ -379,39 +381,34 @@ _CELL = 25
 _TABLE_BLOCK = 1 << 14
 
 
-def _scaled(m, q, e):
-    """``m 2^q 10^(16-e)`` rounded half to even, for uint64 ``m < 2^53`` and
-    int64 ``q`` and ``e`` in the exact range."""
-    k = 16 - e
-    f = _POW5.take(k)
-    ml, mh, fl, fh = m & 0xFFFFFFFF, m >> 32, f & 0xFFFFFFFF, f >> 32
-    low = ml * fl
-    mid = ml * fh + mh * fl
-    lo = low + (mid << 32)
-    hi = mh * fh + (mid >> 32) + (lo < low)
-    shift = (-(q + k)).astype(np.uint64)  # 1..63
-    t = (hi << (64 - shift)) | (lo >> shift)
-    rem = lo & ((np.uint64(1) << shift) - 1)
-    half = np.uint64(1) << (shift - 1)
-    return t + ((rem > half) | ((rem == half) & (t & 1).astype(bool)))
+def _split(a):
+    """Dekker's halves of ``a``: ``hi + lo == a``, each of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
 
 
 def _decimal(x):
     """``(exact, N, e)``: where ``exact`` (positive ``x`` in ``[1e-4,
-    1e15)``), ``x`` rounds to ``N 10^(e-16)`` with ``10^16 <= N < 10^17``, in
-    integer arithmetic, ``e`` exact from ``_POW10``; elsewhere ``N`` and
-    ``e`` are those of 1.
+    1e15)``), ``x`` rounds half to even to ``N 10^(e-16)`` with ``10^16 <= N
+    < 10^17``, ``e`` exact from ``_POW10``; elsewhere ``N`` and ``e`` are
+    those of 1. ``N`` is uint64, as the digit pass subtracts uint64 products.
 
-    ``x >= 10^e`` makes ``N >= 10^16``. ``N`` never rounds up to ``10^17``:
-    the largest double below each power of ten in the exact range rounds to
-    17 digits below that power."""
+    ``x 10^(16-e) = p + err`` exactly, with ``p`` the float64 product and
+    ``err`` its error from Dekker's split product (T. J. Dekker, Numer. Math.
+    18, 1971). ``p >= 10^16 > 2^53`` is an even integer, so ``p +
+    rint(err)`` rounds ``p + err`` half to even. ``x >= 10^e`` makes ``N >=
+    10^16``. ``N`` never rounds up to ``10^17``: the largest double below each
+    power of ten in the exact range rounds to 17 digits below that power."""
     exact = (x >= _POW10[0]) & (x < _POW10[-1])
     a = np.where(exact, x, 1.0)
-    bits = a.view(np.uint64)
-    m = (bits & 0xFFFFFFFFFFFFF) | (1 << 52)
-    q = (bits >> 52).astype(np.int64) - 1075
     e = np.searchsorted(_POW10, a, side="right") - 5
-    return exact, _scaled(m, q, e), e
+    b = _TEN.take(16 - e)
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    N = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    return exact, N.view(np.uint64), e
 
 
 def _float_table(values) -> str:
@@ -419,7 +416,8 @@ def _float_table(values) -> str:
     value joined with ``,`` and ``\\n`` (the ``%`` path is its oracle).
 
     :func:`_decimal` gives the 17 digits of each positive value in ``[1e-4,
-    1e15)``, which ``%g`` writes in fixed notation, and they are laid out
+    1e15)``, which ``%g`` writes in fixed notation, as one uint64 from a
+    float64 product and its exact error, and they are laid out
     as ``%g`` does, trailing zeros dropped. ``%`` writes every other
     value (negatives, zeros, ``x < 1e-4``, ``x >= 1e15``, inf, nan) into the
     same cells.

@@ -8,9 +8,9 @@ closed-form Bell values:
 * ``primary``: every party measures ``A = sigma_x``, ``A' = sigma_y``; a
   term with ``p`` primed settings has expectation
   ``cos(Theta - p*pi/2) = Re(e^{i Theta} (-i)^p)``.
-* ``swapped``: for odd-n Mermin (and MK) all parties swap to
-  ``A = sigma_y``, ``A' = sigma_x``; in every other case only party 1
-  changes, to ``A_1 = sigma_y``, ``A'_1 = -sigma_x``.
+* ``swapped``: party 1 changes to ``A_1 = sigma_y``, ``A'_1 = -sigma_x``
+  and every other party measures as in ``primary``, for every family and
+  every ``n``.
 
 Summing the terms ``c_t`` of a polynomial therefore reduces every family
 and every ``n`` to one complex number, its GHZ phasor
@@ -24,9 +24,7 @@ and one formula:
 The primary value is the sum of the per-term expectations. Changing party 1
 multiplies its two settings' factors ``1, -i`` by ``-i``, hence every term,
 which turns ``Re`` into ``Im``: :func:`strategy_value` computes the swapped
-value as the primary one of ``-i g``. Swapping every party sends ``(-i)^p`` to
-``(-i)^(n-p)``, giving ``(-i)^n conj(g)``; for odd-n Mermin/MK ``g`` is real
-or imaginary, so that too is ``Im(e^{i Theta} g)`` up to sign.
+value as the primary one of ``-i g``.
 
 The two strategies are the two quadratures of ``e^{i Theta} g``, so their
 squares sum to ``|g|^2`` and the better one is at least ``|g|/sqrt(2)`` at
@@ -51,7 +49,7 @@ import math
 
 import numpy as np
 
-from .polynomials import FAMILY_MERMIN, FAMILY_MK, _check_family, make_polynomial
+from .polynomials import _check_family, make_polynomial
 from .su2 import Rotation, X_AXIS, Y_AXIS
 
 STRATEGY_PRIMARY = "primary"
@@ -114,12 +112,5 @@ def strategy_settings(family: str, n: int, strategy: str):
     """
     _check_family(family)
     _check_strategy(strategy)
-    if strategy == STRATEGY_PRIMARY:
-        return tuple((X_AXIS, Y_AXIS) for _ in range(n))
-    if n % 2 == 1 and family in (FAMILY_MERMIN, FAMILY_MK):
-        # Odd-n Mermin/MK swap every party.
-        return tuple((Y_AXIS, X_AXIS) for _ in range(n))
-    # Even n and Svetlichny: modify party 1 only.
-    first = (Y_AXIS, -X_AXIS)
-    rest = tuple((X_AXIS, Y_AXIS) for _ in range(n - 1))
-    return (first,) + rest
+    first = (X_AXIS, Y_AXIS) if strategy == STRATEGY_PRIMARY else (Y_AXIS, -X_AXIS)
+    return (first,) + tuple((X_AXIS, Y_AXIS) for _ in range(n - 1))

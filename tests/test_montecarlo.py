@@ -490,3 +490,31 @@ def test_pow10_entries_are_at_or_above_their_powers():
         k = round(math.log10(entry))
         assert entry == float(Fraction(10) ** k)
         assert Fraction(entry) >= Fraction(10) ** k, entry
+
+
+def test_ten_entries_are_exact_powers_of_ten():
+    # _decimal's scales: entry k is 10^k itself, not a rounding of it.
+    assert [Fraction(t) for t in montecarlo._TEN.tolist()] == [Fraction(10) ** k for k in range(21)]
+
+
+def _significant_bits(x):
+    m = abs(Fraction(x).numerator)
+    return (m >> ((m & -m).bit_length() - 1)).bit_length() if m else 0
+
+
+def test_dekker_halves_are_exact_and_at_most_26_bits():
+    # The halves of what _decimal splits, its a (positive doubles in [1e-4,
+    # 1e15)) and its b (_TEN's entries): hi + lo == a exactly, each part at
+    # most 26 significant bits, so the four partial products are exact.
+    rng = np.random.default_rng(5)
+    powers = montecarlo._POW10[:-1]
+    a = np.concatenate([
+        np.exp(rng.uniform(math.log(1e-4), math.log(1e15), 2000)),
+        rng.integers(2**52, 2**53, 2000) * 2.0 ** rng.integers(-65, -3, 2000),  # 53-bit
+        powers, np.nextafter(powers, math.inf), np.nextafter(montecarlo._POW10[1:], 0.0),
+        montecarlo._TEN,
+    ])
+    hi, lo = montecarlo._split(a)
+    for value, h, l in zip(a.tolist(), hi.tolist(), lo.tolist()):
+        assert Fraction(h) + Fraction(l) == Fraction(value), value
+        assert _significant_bits(h) <= 26 and _significant_bits(l) <= 26, value

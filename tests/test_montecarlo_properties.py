@@ -4,6 +4,7 @@ the frame score's GHZ symmetries and frame covariance (need hypothesis)."""
 import json
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from bellframes.montecarlo import (  # noqa: E402
     CROSSING_TOL,
     ExperimentConfig,
     _build_result,
+    _decimal,
     _fmt_value,
     csv_document,
     merge_results,
@@ -114,6 +116,20 @@ def test_csv_document_formats_every_value_as_fmt_value(table):
     if "int" not in kinds:
         array = np.array(rows, dtype=float).reshape(len(rows), len(kinds))
         assert csv_document(header, array) == expected
+
+
+@PROPERTY
+@given(st.lists(st.floats(1e-4, 1e15, exclude_max=True), max_size=50))
+@example([x for row in TIES + EDGES for x in row])
+def test_decimal_rounds_the_exact_rational_half_to_even(values):
+    # _decimal against exact rationals, independent of %: 10^e <= x <
+    # 10^(e+1), and N is x 10^(16-e) rounded half to even (Fraction's round).
+    x = np.array(values, dtype=float)
+    exact, N, e = _decimal(x)
+    assert exact.tolist() == [1e-4 <= v < 1e15 for v in values]
+    for v, n, k in zip(x[exact].tolist(), N[exact].tolist(), e[exact].tolist()):
+        assert Fraction(10) ** k <= Fraction(v) < Fraction(10) ** (k + 1), v
+        assert n == round(Fraction(v) * Fraction(10) ** (16 - k)), v
 
 
 @pytest.mark.parametrize("measure", ["haar", "uniform-angle"])

@@ -144,9 +144,13 @@ def test_strategy_settings_shapes():
     primary = rst.strategy_settings("mermin", 4, rst.STRATEGY_PRIMARY)
     assert all(np.array_equal(a, su2.X_AXIS) and np.array_equal(ap, su2.Y_AXIS)
                for a, ap in primary)
+    # One swapped rule for every family and n: party 1 measures (y, -x).
     swapped_odd = rst.strategy_settings("mk", 5, rst.STRATEGY_SWAPPED)
-    assert all(np.array_equal(a, su2.Y_AXIS) and np.array_equal(ap, su2.X_AXIS)
-               for a, ap in swapped_odd)
+    assert np.array_equal(swapped_odd[0][0], su2.Y_AXIS)
+    assert np.array_equal(swapped_odd[0][1], -su2.X_AXIS)
+    assert all(np.array_equal(a, su2.X_AXIS) and np.array_equal(ap, su2.Y_AXIS)
+               for a, ap in swapped_odd[1:])
+    assert len(swapped_odd) == 5
     swapped_even = rst.strategy_settings("svetlichny", 3, rst.STRATEGY_SWAPPED)
     assert np.array_equal(swapped_even[0][0], su2.Y_AXIS)
     assert np.array_equal(swapped_even[0][1], -su2.X_AXIS)
