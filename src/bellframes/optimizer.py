@@ -242,6 +242,8 @@ def _channel_tables(directions, unprimed_idx, primed_idx, primed_sign):
     axis into a C-contiguous (K, ..., n, 2) array and viewed as (..., n, 2, K).
     That is the layout a stack of last-axis gathers has, and the scan's
     kernels downstream are chosen by layout, so their bits depend on it.
+    The input's layout sets only the speed: from :func:`score_frames`' view of
+    (3, m, ...) planes, ``d_x + i d_y`` and the gathers read (m, ...) blocks.
     """
     sign = primed_sign.reshape((-1,) + (1,) * (directions.ndim - 2))
 
@@ -388,7 +390,7 @@ def bell_values_over_assignments(ctensor, W, Z, last):
     first, rest = _orbit_representatives(m, flips > 1, n, ctensor.astype(float).tobytes())
     c = 2 if Z is None else 3
     # a_i = Re(alpha w_i) [+ gamma z_i] = rows[i] . (Re alpha, Im alpha[, gamma]).
-    rows = last[..., :c] * _ROW_SIGNS[:c]
+    rows = np.multiply(last[..., :c], _ROW_SIGNS[:c], order="C")  # one BLAS layout for any `last`
     ct = ctensor.reshape(2, -1).T
     # Parties 2..n-1 keep their representative options: (n-2, B, 2, len(rest)).
     W_rest, Z_rest = (T if T is None else T[:, 1 : n - 1][..., rest].swapaxes(0, 1)
@@ -436,7 +438,9 @@ def score_frames(ctensor, quats, base, sign_flips: bool = True):
     number of frames is scored, in chunks of at most ``_batch_frames``
     frames; each chunk's directions are conjugated into the GHZ frame
     (:func:`rotate_directions`) just before its own option tables and scan
-    call. The flat index counts options of the table
+    call. The conjugation is option-major, quaternions (1, b, n, 4) against
+    directions (m, b, n, 3), and the tables read the (b, n, m, 3) view of its
+    component planes. The flat index counts options of the table
     ``_party_options(m, sign_flips)`` (see :func:`bell_values_over_assignments`).
     """
     B, n, _ = quats.shape
@@ -446,7 +450,8 @@ def score_frames(ctensor, quats, base, sign_flips: bool = True):
     batch = _batch_frames(m, n, sign_flips)
 
     def score(lo):
-        dirs = rotate_directions(quats[lo : lo + batch, :, None], base[lo : lo + batch])
+        dirs = rotate_directions(quats[None, lo : lo + batch],
+                                 base[lo : lo + batch].transpose(2, 0, 1, 3)).transpose(1, 2, 0, 3)
         return bell_values_over_assignments(ctensor, *_channel_tables(dirs, *options), dirs[:, -1])
 
     best, index = zip(*map(score, range(0, B, batch)))

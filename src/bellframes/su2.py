@@ -174,26 +174,31 @@ def rotate_directions(quaternions, directions) -> np.ndarray:
     goes through it): ``|q|^2 = (q1 q1 + q2 q2) + q3 q3``,
     ``q . d = ((0 + q1 d_1) + q2 d_2) + q3 d_3`` as ``np.sum`` adds (three
     negative zeros sum to +0), ``(d x q)_1 = d_2 q3 - d_3 q2`` and cyclic, and
-    ``d'_k = ((q0 q0 - |q|^2) d_k + (2 q0) (d x q)_k) + (2 q . d) q_k``, one
-    component at a time into a C-contiguous result.
+    ``d'_k = ((q0 q0 - |q|^2) d_k + (2 q0) (d x q)_k) + (2 q . d) q_k``. It
+    runs on component planes: each input's components are copied once into
+    C-contiguous planes of its own shape, ``(4, ...)`` and ``(3, ...)``,
+    which broadcast, and each d'_k fills one plane of a ``(3,) + shape``
+    result. That array's ``(..., 3)`` view is returned: component-major
+    strides, and the values of the rounding order above.
     """
     quat = np.asarray(quaternions, dtype=float)
     d = np.asarray(directions, dtype=float)
-    q0, *q = np.moveaxis(quat, -1, 0)
-    d = np.moveaxis(d, -1, 0)
+    # transpose, not np.moveaxis: a one-frame call pays this fixed cost.
+    q0, *q = quat.transpose(-1, *range(quat.ndim - 1)).copy()
+    d = d.transpose(-1, *range(d.ndim - 1)).copy()
     s = q0 * q0 - ((q[0] * q[0] + q[1] * q[1]) + q[2] * q[2])
     qd2 = 2.0 * (((q[0] * d[0] + q[1] * d[1]) + q[2] * d[2]) + 0.0)
     q02 = 2.0 * q0
-    out = np.empty(np.broadcast_shapes(quat.shape[:-1], d.shape[1:]) + (3,))
+    out = np.empty((3,) + qd2.shape)
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
-        dk = out[..., k]
+        dk = out[k, ...]  # a view, also of a 1-D result
         np.multiply(d[i], q[j], out=dk)
         dk -= d[j] * q[i]
         dk *= q02
         dk += s * d[k]
         dk += qd2 * q[k]
-    return out
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 def ghz_correlator(observables) -> float:

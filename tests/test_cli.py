@@ -268,13 +268,14 @@ def test_batched_sweep_equals_per_point_scan(tmp_path, monkeypatch, family, n, b
 
 def test_sweep_conjugates_through_the_frame_kernel(tmp_path, monkeypatch):
     # The sweep hands score_frames quaternions; the kernel's own module-level
-    # rotate_directions (the name perfbench/tracing.py wraps) conjugates them.
+    # rotate_directions (the name perfbench/tracing.py wraps) conjugates them,
+    # option-major: (1, B, n, 4) quaternions against (m, B, n, 3) directions.
     calls = []
     rotate = opt.rotate_directions
-    monkeypatch.setattr(opt, "rotate_directions",
-                        lambda quats, base: calls.append(quats.shape) or rotate(quats, base))
+    monkeypatch.setattr(opt, "rotate_directions", lambda quats, base: (
+        calls.append((quats.shape, base.shape)) or rotate(quats, base)))
     sweep_column(tmp_path, "svetlichny", 3, 10)
-    assert calls == [(10, 3, 1, 4)]
+    assert calls == [((1, 10, 3, 4), (2, 10, 3, 3))]
 
 
 def test_sweep_takes_each_strategys_closed_form_in_one_call(tmp_path, monkeypatch):

@@ -552,6 +552,61 @@ def test_channel_tables_match_the_stacked_gathers(n, m, sign_flips):
             assert table.tobytes() == ref.tobytes()
 
 
+@pytest.mark.parametrize("sign_flips", [True, False])
+@pytest.mark.parametrize("kind", ["pauli", "tetrahedron", "random:7"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_channel_tables_layout_sets_speed_never_values(n, kind, sign_flips):
+    # score_frames hands _channel_tables the (B, n, m, 3) view of option-major
+    # component planes, (3, m, B, n) in memory. The tables it returns have
+    # the bytes and strides they have for C-contiguous directions: the
+    # input's layout changes how fast the gathers stream, never the tables.
+    rng = np.random.default_rng([n, len(kind), sign_flips])
+    quats = rng.standard_normal((4, n, 4))
+    quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+    base = np.array([[make_candidate_set(kind, rng).directions for _ in range(n)]
+                     for _ in range(4)])
+    planar = su2.rotate_directions(quats[None], base.transpose(2, 0, 1, 3)).transpose(1, 2, 0, 3)
+    contiguous = np.ascontiguousarray(planar)
+    assert not planar.flags.c_contiguous
+    options = _party_options(base.shape[-2], sign_flips)
+    got, want = _channel_tables(planar, *options), _channel_tables(contiguous, *options)
+    for table, ref in zip(got, want):
+        if ref is not None:
+            assert (table.shape, table.strides, table.dtype) == (ref.shape, ref.strides, ref.dtype)
+            assert table.tobytes() == ref.tobytes()
+
+
+def test_score_frames_bits_do_not_depend_on_the_rotation_layout(monkeypatch):
+    # The same frames scored with the conjugated directions made C-contiguous
+    # give the same best values and flat indices, byte for byte: in whole
+    # chunks and, at _SCAN_ENTRIES = 64, in many small chunks and steps.
+    from bellframes import optimizer
+
+    def scores():
+        out = []
+        for family, n, kind in itertools.product(bp.FAMILIES, range(2, 6), ("pauli", "random:5")):
+            rng = np.random.default_rng([n, len(kind)])
+            ctensor = bp.make_polynomial(family, n).coefficient_tensor()
+            base = np.array([[make_candidate_set(kind, rng).directions for _ in range(n)]
+                             for _ in range(5)])
+            quats = rng.standard_normal((5, n, 4))
+            quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
+            quats[0] = [1.0, 0.0, 0.0, 0.0]
+            for sign_flips in (True, False):
+                best, index = score_frames(ctensor, quats, base, sign_flips)
+                out.append(best.tobytes() + index.astype(np.int64).tobytes())
+        return out
+
+    rotate = optimizer.rotate_directions
+    for entries in (_SCAN_ENTRIES, 64):
+        monkeypatch.setattr(optimizer, "_SCAN_ENTRIES", entries)
+        planar = scores()
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "rotate_directions",
+                          lambda quats, base: np.ascontiguousarray(rotate(quats, base)))
+            assert scores() == planar
+
+
 @pytest.mark.parametrize("flips", [1, 2])
 @pytest.mark.parametrize("m", [2, 3, 4, 7])
 def test_largest_pair_entries_match_pair_loop(m, flips):
