@@ -10,10 +10,10 @@ from bellframes import polynomials as bp
 
 print("=== Term lists ===")
 for label, poly in [
-    ("CHSH  (mk, n=2)", bp.mk_polynomial(2)),
-    ("mk, n=3", bp.mk_polynomial(3)),
-    ("svetlichny, n=3", bp.svetlichny_polynomial(3)),
-    ("mermin, n=4", bp.mermin_polynomial(4)),
+    ("CHSH  (mk, n=2)", bp.make_polynomial("mk", 2)),
+    ("mk, n=3", bp.make_polynomial("mk", 3)),
+    ("svetlichny, n=3", bp.make_polynomial("svetlichny", 3)),
+    ("mermin, n=4", bp.make_polynomial("mermin", 4)),
 ]:
     print(f"  {label}:")
     for term in poly.term_strings():
@@ -22,10 +22,10 @@ for label, poly in [
 print()
 print("=== Family identities ===")
 for n in (3, 5, 7):
-    same = bp.mermin_polynomial(n).terms == bp.mk_polynomial(n).terms
+    same = bp.make_polynomial("mermin", n).terms == bp.make_polynomial("mk", n).terms
     print(f"  mermin == mk at n={n}: {same}")
 for n in (2, 4, 6, 8):
-    same = bp.svetlichny_polynomial(n).terms == bp.mk_polynomial(n).terms
+    same = bp.make_polynomial("svetlichny", n).terms == bp.make_polynomial("mk", n).terms
     print(f"  svetlichny == mk at n={n}: {same}")
 
 print()

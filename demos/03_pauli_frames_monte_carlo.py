@@ -13,7 +13,7 @@ import numpy as np
 from bellframes import su2
 from bellframes.montecarlo import ExperimentConfig, run_experiment
 from bellframes.optimizer import make_candidate_set, max_bell_value
-from bellframes.polynomials import mermin_polynomial
+from bellframes.polynomials import make_polynomial
 
 SAMPLES = 5000
 
@@ -28,7 +28,7 @@ print(f"  value range: [{result.min:.4f}, {result.max:.4f}], mean {result.mean:.
 
 print()
 print("=== The rare frames that defeat the Pauli triple ===")
-m3 = mermin_polynomial(3)
+m3 = make_polynomial("mermin", 3)
 axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
 tilt = su2.Rotation.from_axis_angle(axis, math.atan(math.sqrt(2.0)))
 value = max_bell_value(m3, [tilt] * 3, make_candidate_set("pauli")).bell_value

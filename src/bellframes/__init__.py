@@ -28,10 +28,6 @@ from .polynomials import (
     bounds_table,
     lhv_deterministic_max,
     make_polynomial,
-    mermin_polynomial,
-    mk_polynomial,
-    prime_swap,
-    svetlichny_polynomial,
 )
 from .optimizer import (
     CandidateSet,

@@ -108,7 +108,8 @@ class ExperimentConfig:
     frame_measure: str = FRAME_HAAR
 
     def __post_init__(self):
-        types = dict(n=int, samples=int, seed=int, sample_offset=int, sign_flips=bool)
+        types = dict(n=int, family=str, candidates=str, samples=int, seed=int,
+                     sample_offset=int, sign_flips=bool)
         for name, kind in types.items():
             if type(getattr(self, name)) is not kind:
                 raise ValueError(f"{name} must be of type {kind.__name__}")

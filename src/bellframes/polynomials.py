@@ -49,11 +49,6 @@ MAX_GME_LADDER_PARTIES = 5
 LHV_BOUND = 1.0
 
 
-def _check_party_count(n: int) -> None:
-    if not 2 <= n <= MAX_PARTIES:
-        raise ValueError(f"party count {n} outside [2, {MAX_PARTIES}]")
-
-
 def _check_family(family: str) -> None:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
@@ -109,7 +104,8 @@ def product_form(family: str, n: int) -> tuple[complex, int]:
     Even-n Mermin: ``u = -i``, ``e = n/2``.
     """
     _check_family(family)
-    _check_party_count(n)
+    if not 2 <= n <= MAX_PARTIES:
+        raise ValueError(f"party count {n} outside [2, {MAX_PARTIES}]")
     if family == FAMILY_MERMIN and n % 2 == 0:
         return -1j, n // 2
     e = n if family == FAMILY_SVETLICHNY and n % 2 == 1 else n - 1
@@ -120,35 +116,17 @@ def product_form(family: str, n: int) -> tuple[complex, int]:
 def make_polynomial(family: str, n: int) -> BellPolynomial:
     """The ``family`` polynomial on ``n`` parties, from its :func:`product_form`.
 
-    Polynomials are cached; one is frozen and holds tuples, so callers
-    share it.
+    MK_2 is the CHSH polynomial. At odd ``n`` Mermin's term list is MK_n's,
+    and the Svetlichny polynomial is ``S_n = (MK_n + MK'_n)/2``, where
+    ``MK'_n`` is MK_n with every party's primed and unprimed settings
+    exchanged; at even ``n``, S_n is MK_n. Polynomials are cached; one is
+    frozen and holds tuples, so callers share it.
     """
     u, e = product_form(family, n)
     # Re(u i^p) for p = 0..3: u is a small Gaussian integer, so the floats are exact.
     by_p = [Fraction(int((u * 1j**p).real), 2**e) for p in range(4)]
     terms = ((mask, by_p[mask.bit_count() % 4]) for mask in range(1 << n))
     return BellPolynomial(n, family, tuple((mask, c) for mask, c in terms if c))
-
-
-def mk_polynomial(n: int) -> BellPolynomial:
-    """Mermin-Klyshko polynomial MK_n; MK_2 is the CHSH polynomial."""
-    return make_polynomial(FAMILY_MK, n)
-
-
-def mermin_polynomial(n: int) -> BellPolynomial:
-    """Mermin polynomial M_n; for odd ``n`` its term list is MK_n's."""
-    return make_polynomial(FAMILY_MERMIN, n)
-
-
-def svetlichny_polynomial(n: int) -> BellPolynomial:
-    """Svetlichny polynomial S_n: ``(MK_n + MK'_n)/2`` for odd ``n``, MK_n for even ``n``."""
-    return make_polynomial(FAMILY_SVETLICHNY, n)
-
-
-def prime_swap(p: BellPolynomial) -> BellPolynomial:
-    """Exchange primed and unprimed settings of every party."""
-    full = (1 << p.n) - 1
-    return BellPolynomial(p.n, p.family, tuple(sorted((mask ^ full, c) for mask, c in p.terms)))
 
 
 def lhv_deterministic_max(p: BellPolynomial) -> float:

@@ -53,7 +53,7 @@ def mc_tolerance(stated, stderr):
 
 def test_c1a_mermin3_unrotated_pauli_reaches_two():
     start = time.perf_counter()
-    out = max_bell_value(bp.mermin_polynomial(3), [IDENT] * 3,
+    out = max_bell_value(bp.make_polynomial("mermin", 3), [IDENT] * 3,
                          make_candidate_set("pauli"))
     elapsed = time.perf_counter() - start
     ok = abs(out.bell_value - 2.0) <= 1e-12 and elapsed < 1.0
@@ -65,7 +65,7 @@ def test_c1b_tilted_rotation_pauli_value():
     axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
     tilt = su2.Rotation.from_axis_angle(axis, math.atan(math.sqrt(2.0)))
     start = time.perf_counter()
-    out = max_bell_value(bp.mermin_polynomial(3), [tilt] * 3,
+    out = max_bell_value(bp.make_polynomial("mermin", 3), [tilt] * 3,
                          make_candidate_set("pauli"))
     elapsed = time.perf_counter() - start
     ok = abs(out.bell_value - 0.98) <= 0.005 and elapsed < 1.0
@@ -76,7 +76,7 @@ def test_c1b_tilted_rotation_pauli_value():
 def test_c1c_x_rotation_tetrahedron_value():
     xrot = su2.Rotation.from_axis_angle(su2.X_AXIS, 3.0 * math.pi / 10.0)
     start = time.perf_counter()
-    out = max_bell_value(bp.mermin_polynomial(3), [IDENT, IDENT, xrot],
+    out = max_bell_value(bp.make_polynomial("mermin", 3), [IDENT, IDENT, xrot],
                          make_candidate_set("tetrahedron"))
     elapsed = time.perf_counter() - start
     ok = abs(out.bell_value - 0.93) <= 0.005 and elapsed < 1.0
@@ -86,8 +86,8 @@ def test_c1c_x_rotation_tetrahedron_value():
 
 def test_c1d_inplane_optimal_values():
     cs = inplane_candidate_set([0.0, math.pi / 2.0, math.pi / 4.0, -math.pi / 4.0])
-    s3 = max_bell_value(bp.svetlichny_polynomial(3), [IDENT] * 3, cs)
-    mk4 = max_bell_value(bp.mk_polynomial(4), [IDENT] * 4, cs)
+    s3 = max_bell_value(bp.make_polynomial("svetlichny", 3), [IDENT] * 3, cs)
+    mk4 = max_bell_value(bp.make_polynomial("mk", 4), [IDENT] * 4, cs)
     # independent oracle: re-evaluate the winning assignments term by term
     def replay(poly, outcome, n):
         obs = [(su2.observable_matrix(cs.directions[i]),
@@ -99,8 +99,8 @@ def test_c1d_inplane_optimal_values():
     ok = (
         abs(s3.bell_value - math.sqrt(2.0)) <= 1e-9
         and abs(mk4.bell_value - 2.0**1.5) <= 1e-9
-        and abs(replay(bp.svetlichny_polynomial(3), s3, 3) - s3.bell_value) <= 1e-12
-        and abs(replay(bp.mk_polynomial(4), mk4, 4) - mk4.bell_value) <= 1e-12
+        and abs(replay(bp.make_polynomial("svetlichny", 3), s3, 3) - s3.bell_value) <= 1e-12
+        and abs(replay(bp.make_polynomial("mk", 4), mk4, 4) - mk4.bell_value) <= 1e-12
     )
     check("1d in-plane azimuths {0, pi/2, pi/4, -pi/4}: svetlichny-3 = sqrt(2), "
           "mk-4 = 2^1.5 (+- 1e-9, oracle replay)", ok,
@@ -219,28 +219,31 @@ def test_c3b_statevector_oracle_agreement():
 
 
 def test_c3c_polynomial_identities():
-    odd = all(np.array_equal(dense_coefficients(bp.mermin_polynomial(n)), dense_mk_coefficients(n))
+    odd = all(np.array_equal(dense_coefficients(bp.make_polynomial("mermin", n)),
+                             dense_mk_coefficients(n))
               for n in (3, 5, 7))
-    even = all(
-        np.array_equal(dense_coefficients(bp.svetlichny_polynomial(n)), dense_mk_coefficients(n))
-        for n in (2, 4, 6, 8))
+    even = all(np.array_equal(dense_coefficients(bp.make_polynomial("svetlichny", n)),
+                              dense_mk_coefficients(n))
+               for n in (2, 4, 6, 8))
     half = Fraction(1, 2)
-    chsh = bp.mk_polynomial(2).terms == ((0, half), (1, half), (2, half), (3, -half))
-    mk3 = bp.mk_polynomial(3).terms == ((1, half), (2, half), (4, half), (7, -half))
+    chsh = bp.make_polynomial("mk", 2).terms == ((0, half), (1, half), (2, half), (3, -half))
+    mk3 = bp.make_polynomial("mk", 3).terms == ((1, half), (2, half), (4, half), (7, -half))
     check("3c polynomial identities (mermin=mk odd<=7, svetlichny=mk even<=8, "
           "explicit 2- and 3-party term lists)",
           odd and even and chsh and mk3, f"odd={odd} even={even} chsh={chsh} mk3={mk3}")
 
 
 def test_c3c_detects_injected_sign_error(monkeypatch):
-    good = bp.mermin_polynomial
+    good = bp.make_polynomial
 
-    def broken(n):
-        poly = good(n)
+    def broken(family, n):
+        poly = good(family, n)
+        if family != "mermin":
+            return poly
         flipped = tuple((mask, -coeff) for mask, coeff in poly.terms)
         return bp.BellPolynomial(poly.n, poly.family, flipped)
 
-    monkeypatch.setattr(bp, "mermin_polynomial", broken)
+    monkeypatch.setattr(bp, "make_polynomial", broken)
     with pytest.raises(AssertionError):
         test_c3c_polynomial_identities()
 

@@ -158,14 +158,14 @@ def test_party_options_match_oracle_rows(m, sign_flips):
 
 
 def test_m3_identity_pauli_reaches_two():
-    out = max_bell_value(bp.mermin_polynomial(3), [IDENT] * 3, make_candidate_set("pauli"))
+    out = max_bell_value(bp.make_polynomial("mermin", 3), [IDENT] * 3, make_candidate_set("pauli"))
     assert abs(out.bell_value - 2.0) < 1e-12
     assert out.evaluations == 12**3
     # the reported assignment must reproduce the reported value
     eff = [su2.rotate_direction(IDENT, d) for d in make_candidate_set("pauli").directions]
     obs = [(su2.observable_matrix(eff[i]), s * su2.observable_matrix(eff[j]))
            for i, j, s in out.assignment]
-    value = evaluate(bp.mermin_polynomial(3), lambda mask: su2.ghz_correlator(
+    value = evaluate(bp.make_polynomial("mermin", 3), lambda mask: su2.ghz_correlator(
         [obs[k][1] if (mask >> k) & 1 else obs[k][0] for k in range(3)]))
     assert abs(value - out.bell_value) < 1e-12
 
@@ -173,7 +173,7 @@ def test_m3_identity_pauli_reaches_two():
 def test_tilted_rotation_counterexample_value():
     axis = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
     tilt = su2.Rotation.from_axis_angle(axis, math.atan(math.sqrt(2.0)))
-    out = max_bell_value(bp.mermin_polynomial(3), [tilt] * 3, make_candidate_set("pauli"))
+    out = max_bell_value(bp.make_polynomial("mermin", 3), [tilt] * 3, make_candidate_set("pauli"))
     assert abs(out.bell_value - 0.98) < 0.005
     assert out.bell_value < 1.0
 
@@ -181,7 +181,7 @@ def test_tilted_rotation_counterexample_value():
 def test_x_rotation_tetrahedron_counterexample_value():
     xrot = su2.Rotation.from_axis_angle(su2.X_AXIS, 3.0 * math.pi / 10.0)
     out = max_bell_value(
-        bp.mermin_polynomial(3), [IDENT, IDENT, xrot], make_candidate_set("tetrahedron")
+        bp.make_polynomial("mermin", 3), [IDENT, IDENT, xrot], make_candidate_set("tetrahedron")
     )
     # regression constant computed by three independent evaluation paths
     assert abs(out.bell_value - 0.9225296148718236) < 1e-9
@@ -207,7 +207,7 @@ def test_symmetry_reduction_sound():
     pauli = make_candidate_set("pauli").directions
     for _ in range(3):
         rots = [su2.haar_rotation(rng) for _ in range(3)]
-        poly = bp.svetlichny_polynomial(3)
+        poly = bp.make_polynomial("svetlichny", 3)
         reduced = max_bell_value(poly, rots, make_candidate_set("pauli")).bell_value
         full = brute_force_max(poly, rots, pauli, unprimed_signs=True)
         assert abs(reduced - full) < 1e-12
@@ -352,8 +352,9 @@ def test_orbit_symmetries_read_off_the_coefficient_tensor():
     assert _orbit_symmetries(dyadic) == (False, False)
     # Symmetric, but T would swap inexact products: C alone holds for
     # Mermin-3, and Svetlichny-3 and MK-4 need C T_n, which a T bars.
-    assert _orbit_symmetries(0.7 * bp.mermin_polynomial(3).coefficient_tensor()) == (False, True)
-    for scaled in (bp.svetlichny_polynomial(3), bp.mk_polynomial(4)):
+    mermin3 = bp.make_polynomial("mermin", 3).coefficient_tensor()
+    assert _orbit_symmetries(0.7 * mermin3) == (False, True)
+    for scaled in (bp.make_polynomial("svetlichny", 3), bp.make_polynomial("mk", 4)):
         assert _orbit_symmetries(0.7 * scaled.coefficient_tensor()) == (False, False)
 
 
@@ -426,7 +427,7 @@ def test_score_frames_hands_the_scan_a_z_table_only_at_even_n(monkeypatch, n, si
     monkeypatch.setattr(optimizer, "bell_values_over_assignments", spy)
     rng = np.random.default_rng(n)
     quats = np.stack([su2.haar_rotation(rng).quaternion for _ in range(n)])
-    score_frames(bp.mermin_polynomial(n).coefficient_tensor(), np.stack([quats] * 2),
+    score_frames(bp.make_polynomial("mermin", n).coefficient_tensor(), np.stack([quats] * 2),
                  make_candidate_set("pauli").directions, sign_flips)
     table = (2, n, 2, assignment_count(3, 1, sign_flips))
     assert shapes == [(table, None if n % 2 else table)]
@@ -454,7 +455,7 @@ def test_score_frames_scans_at_most_a_batch_of_frames_per_call(monkeypatch, sign
     frames = [([su2.haar_rotation(rng).quaternion for _ in range(3)],
                [make_candidate_set("random:3", rng).directions] * 3) for _ in range(7)]
     quats, base = (np.array(part) for part in zip(*frames))
-    ctensor = bp.svetlichny_polynomial(3).coefficient_tensor()
+    ctensor = bp.make_polynomial("svetlichny", 3).coefficient_tensor()
     alone = [score_frames(ctensor, quats[lo : lo + batch], base[lo : lo + batch], sign_flips)
              for lo in range(0, 7, 2)]
     monkeypatch.setattr(optimizer, "bell_values_over_assignments", spy)
@@ -474,7 +475,7 @@ def test_score_frames_shared_base_equals_it_given_per_frame(monkeypatch, sign_fl
     quats = rng.standard_normal((5, 3, 4))
     quats /= np.linalg.norm(quats, axis=-1, keepdims=True)
     base = make_candidate_set("tetrahedron").directions
-    ctensor = bp.mk_polynomial(3).coefficient_tensor()
+    ctensor = bp.make_polynomial("mk", 3).coefficient_tensor()
     for entries in (_SCAN_ENTRIES, 1):
         monkeypatch.setattr(optimizer, "_SCAN_ENTRIES", entries)
         shared = score_frames(ctensor, quats, base, sign_flips)
@@ -623,7 +624,7 @@ def test_largest_pair_entries_match_pair_loop(m, flips):
 
 def test_monotone_in_candidate_directions():
     rng = np.random.default_rng(24)
-    poly = bp.mermin_polynomial(3)
+    poly = bp.make_polynomial("mermin", 3)
     for _ in range(5):
         rots = [su2.haar_rotation(rng) for _ in range(3)]
         small = CandidateSet("small", uniform_sphere(rng, 3))
@@ -645,15 +646,15 @@ def test_never_exceeds_algebraic_max():
 def test_inplane_optimal_settings():
     azimuths = [0.0, math.pi / 2.0, math.pi / 4.0, -math.pi / 4.0]
     cs = inplane_candidate_set(azimuths)
-    s3 = max_bell_value(bp.svetlichny_polynomial(3), [IDENT] * 3, cs)
+    s3 = max_bell_value(bp.make_polynomial("svetlichny", 3), [IDENT] * 3, cs)
     assert abs(s3.bell_value - math.sqrt(2.0)) < 1e-9
-    mk4 = max_bell_value(bp.mk_polynomial(4), [IDENT] * 4, cs)
+    mk4 = max_bell_value(bp.make_polynomial("mk", 4), [IDENT] * 4, cs)
     assert abs(mk4.bell_value - 2.0**1.5) < 1e-9
 
 
 def test_sign_flips_off_restricts_search():
     rng = np.random.default_rng(26)
-    poly = bp.mermin_polynomial(3)
+    poly = bp.make_polynomial("mermin", 3)
     rots = [su2.haar_rotation(rng) for _ in range(3)]
     cs = make_candidate_set("pauli")
     on = max_bell_value(poly, rots, cs, sign_flips=True)
@@ -666,7 +667,7 @@ def test_sign_flips_off_restricts_search():
 
 def test_rotation_count_must_match():
     with pytest.raises(ValueError):
-        max_bell_value(bp.mermin_polynomial(3), [IDENT] * 2, make_candidate_set("pauli"))
+        max_bell_value(bp.make_polynomial("mermin", 3), [IDENT] * 2, make_candidate_set("pauli"))
 
 
 def test_scan_rejects_tables_it_cannot_fold():
@@ -678,4 +679,5 @@ def test_scan_rejects_tables_it_cannot_fold():
     dirs = np.array([[np.eye(3)] * 2])
     W, Z = unreduced_tables(dirs)
     with pytest.raises(ValueError, match="do not fit"):
-        bell_values_over_assignments(bp.mk_polynomial(2).coefficient_tensor(), W, Z, dirs[:, -1])
+        bell_values_over_assignments(bp.make_polynomial("mk", 2).coefficient_tensor(), W, Z,
+                                     dirs[:, -1])

@@ -12,7 +12,7 @@ HALF = Fraction(1, 2)
 
 
 def test_chsh_term_list():
-    assert bp.mk_polynomial(2).terms == (
+    assert bp.make_polynomial("mk", 2).terms == (
         (0b00, HALF),
         (0b01, HALF),
         (0b10, HALF),
@@ -21,7 +21,7 @@ def test_chsh_term_list():
 
 
 def test_mk3_term_list():
-    assert bp.mk_polynomial(3).terms == (
+    assert bp.make_polynomial("mk", 3).terms == (
         (0b001, HALF),
         (0b010, HALF),
         (0b100, HALF),
@@ -30,7 +30,7 @@ def test_mk3_term_list():
 
 
 def test_mk4_against_independent_expansion():
-    poly = bp.mk_polynomial(4)
+    poly = bp.make_polynomial("mk", 4)
     assert len(poly.terms) == 16
     assert {abs(c) for _, c in poly.terms} == {Fraction(1, 4)}
     dense = dense_mk_coefficients(4)
@@ -40,41 +40,20 @@ def test_mk4_against_independent_expansion():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_mk_recursion_matches_dense_oracle(n):
-    assert np.array_equal(dense_coefficients(bp.mk_polynomial(n)), dense_mk_coefficients(n))
+    assert np.array_equal(dense_coefficients(bp.make_polynomial("mk", n)), dense_mk_coefficients(n))
 
 
 def test_party_count_caps():
-    for build in (bp.mk_polynomial, bp.mermin_polynomial, bp.svetlichny_polynomial):
+    for family in bp.FAMILIES:
         with pytest.raises(ValueError):
-            build(1)
+            bp.make_polynomial(family, 1)
         with pytest.raises(ValueError):
-            build(9)
-
-
-def test_prime_swap_chsh():
-    swapped = bp.prime_swap(bp.mk_polynomial(2))
-    assert swapped.terms == (
-        (0b00, -HALF),
-        (0b01, HALF),
-        (0b10, HALF),
-        (0b11, HALF),
-    )
-
-
-def test_prime_swap_is_involution():
-    for n in (2, 3, 4, 5):
-        poly = bp.svetlichny_polynomial(n)
-        assert bp.prime_swap(bp.prime_swap(poly)).terms == poly.terms
-
-
-def test_prime_swap_single_term():
-    poly = bp.BellPolynomial(2, "mk", ((0b10, Fraction(1)),))
-    assert bp.prime_swap(poly).terms == ((0b01, Fraction(1)),)
+            bp.make_polynomial(family, 9)
 
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8))
 def test_mermin_even_expansion(n):
-    poly = bp.mermin_polynomial(n)
+    poly = bp.make_polynomial("mermin", n)
     assert len(poly.terms) == 1 << (n - 1)
     unit = Fraction(1, 2 ** (n // 2))
     for mask, coeff in poly.terms:
@@ -86,17 +65,17 @@ def test_mermin_even_expansion(n):
 
 @pytest.mark.parametrize("n", (3, 5, 7))
 def test_mermin_equals_mk_for_odd_n(n):
-    assert bp.mermin_polynomial(n).terms == bp.mk_polynomial(n).terms
+    assert bp.make_polynomial("mermin", n).terms == bp.make_polynomial("mk", n).terms
 
 
 @pytest.mark.parametrize("n", (2, 4, 6, 8))
 def test_svetlichny_equals_mk_for_even_n(n):
-    assert bp.svetlichny_polynomial(n).terms == bp.mk_polynomial(n).terms
+    assert bp.make_polynomial("svetlichny", n).terms == bp.make_polynomial("mk", n).terms
 
 
 @pytest.mark.parametrize("n", (3, 5, 7))
 def test_svetlichny_odd_merges_both_swap_sectors(n):
-    poly = bp.svetlichny_polynomial(n)
+    poly = bp.make_polynomial("svetlichny", n)
     assert len(poly.terms) == 1 << n
     assert {abs(c) for _, c in poly.terms} == {Fraction(1, 2 ** ((n + 1) // 2))}
     # oracle: merge the dense MK_n and its prime swap by hand
@@ -107,13 +86,13 @@ def test_svetlichny_odd_merges_both_swap_sectors(n):
 
 
 def test_evaluate_algebraic_maximum_case():
-    mk3 = bp.mk_polynomial(3)
+    mk3 = bp.make_polynomial("mk", 3)
     expectations = {0b001: 1.0, 0b010: 1.0, 0b100: 1.0, 0b111: -1.0}
     assert evaluate(mk3, expectations) == 2.0
 
 
 def test_evaluate_on_unrotated_ghz_with_xy_settings():
-    m3 = bp.mermin_polynomial(3)
+    m3 = bp.make_polynomial("mermin", 3)
 
     def provider_for(a_dir, ap_dir):
         def provider(mask):
@@ -129,11 +108,11 @@ def test_evaluate_on_unrotated_ghz_with_xy_settings():
 
 def test_evaluate_missing_mask_raises():
     with pytest.raises(KeyError):
-        evaluate(bp.mk_polynomial(2), {0b00: 1.0})
+        evaluate(bp.make_polynomial("mk", 2), {0b00: 1.0})
 
 
 def test_evaluate_is_linear_in_each_expectation():
-    poly = bp.svetlichny_polynomial(3)
+    poly = bp.make_polynomial("svetlichny", 3)
     rng = np.random.default_rng(13)
     base = {mask: float(e) for mask, e in
             zip([m for m, _ in poly.terms], rng.uniform(-1, 1, len(poly.terms)))}
@@ -192,14 +171,14 @@ def test_lhv_deterministic_max_is_exactly_one(family, n):
 
 def test_lhv_enumeration_cap():
     with pytest.raises(ValueError):
-        bp.lhv_deterministic_max(bp.mk_polynomial(6))
+        bp.lhv_deterministic_max(bp.make_polynomial("mk", 6))
 
 
 def test_algebraic_max_values():
-    assert bp.mermin_polynomial(3).algebraic_max() == 2.0
-    assert bp.mk_polynomial(2).algebraic_max() == 2.0
-    assert bp.mermin_polynomial(4).algebraic_max() == 2.0
-    assert bp.mk_polynomial(5).algebraic_max() == 4.0
+    assert bp.make_polynomial("mermin", 3).algebraic_max() == 2.0
+    assert bp.make_polynomial("mk", 2).algebraic_max() == 2.0
+    assert bp.make_polynomial("mermin", 4).algebraic_max() == 2.0
+    assert bp.make_polynomial("mk", 5).algebraic_max() == 4.0
 
 
 def test_bounds_table_mk3():

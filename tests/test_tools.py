@@ -138,6 +138,31 @@ def test_bench_pairs_ties_win_no_pair_and_unnamed_metrics_are_skipped():
     assert zero["z"]["ratio"] is None and zero["z"]["change_better"] == "0/1"
 
 
+@pytest.mark.parametrize("better, at_bound, beyond", [
+    ("higher", [75.0, 75.0, 75.0], [74.0, 74.0, 74.0]),
+    ("lower", [125.0, 125.0, 125.0], [126.0, 126.0, 126.0]),
+])
+def test_bench_pairs_within_bound_allows_a_worse_median_up_to_the_bound(better, at_bound, beyond):
+    # The parent's median is 100 and the bound 0.25: a change median 25
+    # worse is within it, 26 worse is not; 10 better is within it too.
+    parent = [90.0, 100.0, 110.0]
+    tool = _load(PAIRS)
+    bench = {"end_to_end": [{"name": "m", "better": better, "bound": 0.25}],
+             "per_layer": [{"name": "layer", "better": "lower"}]}
+    assert tool.bounds(bench) == {"m": 0.25}
+    gain = 110.0 if better == "higher" else 90.0
+    for change, within in ((at_bound, True), (beyond, False), ([gain] * 3, True)):
+        summary = tool.summarize(_runs("m", parent, change), {"m": better},
+                                 tool.bounds(bench))["w seed 1"]["m"]
+        assert (summary["bound"], summary["within_bound"]) == (0.25, within)
+
+
+def test_bench_pairs_metric_without_a_bound_gets_no_bound_keys():
+    runs = _runs("layer", [1.0, 2.0], [3.0, 4.0])
+    summary = _load(PAIRS).summarize(runs, {"layer": "lower"}, {"m": 0.25})["w seed 1"]
+    assert "bound" not in summary["layer"] and "within_bound" not in summary["layer"]
+
+
 STUB_RUN = """import json, sys
 from pathlib import Path
 here = Path.cwd()
@@ -158,7 +183,8 @@ def test_bench_pairs_alternates_sides_and_extends_its_output(tmp_path):
         (tmp_path / side / "perfbench").mkdir(parents=True)
         (tmp_path / side / "perfbench" / "run.py").write_text(STUB_RUN)
         (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
-            {"end_to_end": [{"name": "frames_per_s", "better": "higher"}], "per_layer": []}))
+            {"end_to_end": [{"name": "frames_per_s", "better": "higher", "bound": 0.25}],
+             "per_layer": []}))
     out = tmp_path / "BENCH.json"
     out.write_text(json.dumps({"claim": "kept"}))
     argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "w",
@@ -174,3 +200,4 @@ def test_bench_pairs_alternates_sides_and_extends_its_output(tmp_path):
         (2, "parent", 0), (2, "change", 0)]
     summary = doc["summary"]["w seed 5"]["frames_per_s"]
     assert summary["change_better"] == "3/3" and summary["ratio"] == 1.2
+    assert (summary["bound"], summary["within_bound"]) == (0.25, True)

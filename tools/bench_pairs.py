@@ -17,7 +17,11 @@ quick) and, in it, one per metric that ``BENCHMARK.json`` names: each
 side's median and NumPy linear-interpolation quartiles, the distance
 between the parent's quartiles, the ratio of medians (change / parent) and
 ``change_better``, the count of pairs in which the change reads better by
-the metric's ``better`` field (a tie is not better).
+the metric's ``better`` field (a tie is not better). A metric that has a
+``bound`` in ``BENCHMARK.json`` (a share of the metric's median) also gets
+that ``bound`` and ``within_bound``: true when the change's median is worse
+than the parent's, in the metric's ``better`` direction, by at most
+``bound`` times the parent's median.
 """
 
 from __future__ import annotations
@@ -39,13 +43,21 @@ def better_directions(benchmark):
             for key in ("end_to_end", "per_layer") for m in benchmark.get(key, ())}
 
 
+def bounds(benchmark):
+    """``{metric: bound}`` for the metrics of a ``BENCHMARK.json`` document that have one."""
+    return {m["name"]: m["bound"]
+            for key in ("end_to_end", "per_layer") for m in benchmark.get(key, ()) if "bound" in m}
+
+
 def _stats(values):
     q1, q3 = np.percentile(values, [25, 75])
     return float(np.median(values)), [float(q1), float(q3)]
 
 
-def summarize(runs, better):
-    """Per group and metric, the medians, quartiles and pair counts of ``runs``."""
+def summarize(runs, better, bound=None):
+    """Per group and metric, the medians, quartiles and pair counts of ``runs``,
+    and for each metric in ``bound`` whether the change stays within it."""
+    bound = bound or {}
     summary = {}
     for group in dict.fromkeys(run["group"] for run in runs):
         pairs = {}
@@ -71,6 +83,10 @@ def summarize(runs, better):
                 "change_better": f"{wins}/{len(pairs)}",
                 "parent_runs": values["parent"], "change_runs": values["change"],
             }
+            if metric in bound:
+                worse = pm - cm if direction == "higher" else cm - pm
+                block[metric].update(bound=bound[metric],
+                                     within_bound=worse <= bound[metric] * pm)
         summary[group] = block
     return summary
 
@@ -113,7 +129,7 @@ def main(argv=None) -> int:
     doc["command"] = ("perfbench/run.py --workload W --seed S --seconds T --trace X [--quick], "
                       "run from each checkout's root (final stdout line per run)")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
-    doc["summary"] = summarize(runs, better_directions(benchmark))
+    doc["summary"] = summarize(runs, better_directions(benchmark), bounds(benchmark))
     doc["runs"] = doc.pop("runs")  # last, after the summary
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
