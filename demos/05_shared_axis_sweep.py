@@ -27,8 +27,7 @@ poly = make_polynomial("mermin", N)
 rng = np.random.default_rng(3)
 for k in range(GRID):
     theta = 2.0 * math.pi * k / GRID
-    primary = rst.strategy_value("mermin", N, theta, rst.STRATEGY_PRIMARY)
-    swapped = rst.strategy_value("mermin", N, theta, rst.STRATEGY_SWAPPED)
+    primary, swapped = rst.strategy_value("mermin", N, theta)
     # split the total angle over the parties arbitrarily: only the sum matters
     thetas = rng.dirichlet(np.ones(N)) * theta
     rotations = [rst.z_rotation(t) for t in thetas]

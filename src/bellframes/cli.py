@@ -126,8 +126,7 @@ def cmd_sweep(args) -> int:
     quats[:, 0, 0] = list(map(math.cos, half))
     quats[:, 0, 3] = list(map(math.sin, half))
     best, _ = score_frames(poly.coefficient_tensor(), quats, candidates.directions)
-    primary = restricted.strategy_value(args.family, args.n, thetas, restricted.STRATEGY_PRIMARY)
-    swapped = restricted.strategy_value(args.family, args.n, thetas, restricted.STRATEGY_SWAPPED)
+    primary, swapped = restricted.strategy_value(args.family, args.n, thetas)
     rows = np.column_stack((thetas, primary, swapped, np.maximum(primary, swapped), best))
     path = args.out / "sweep.csv"
     write_lf(path, csv_document(

@@ -109,7 +109,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         types = dict(n=int, family=str, candidates=str, samples=int, seed=int,
-                     sample_offset=int, sign_flips=bool)
+                     sample_offset=int, sign_flips=bool, budget=int)
         for name, kind in types.items():
             if type(getattr(self, name)) is not kind:
                 raise ValueError(f"{name} must be of type {kind.__name__}")

@@ -66,15 +66,6 @@ class BellPolynomial:
         """Sum of absolute coefficients: the largest conceivable Bell value."""
         return float(sum(abs(c) for _, c in self.terms))
 
-    def ghz_phasor(self) -> complex:
-        """``g = sum_t c_t (-i)^{|t|}``, ``|t|`` the primed settings of term t.
-
-        ``|g|`` is the GHZ quantum value (:mod:`bellframes.restricted`); the
-        dyadic coefficients make the float sum exact.
-        """
-        powers = (1, -1j, -1, 1j)  # (-i)^p for p = 0..3
-        return sum((float(c) * powers[mask.bit_count() % 4] for mask, c in self.terms), 0j)
-
     def coefficient_tensor(self) -> np.ndarray:
         """Dense coefficients with shape ``(2,)*n``; axis k indexes party k+1's prime bit."""
         dense = np.zeros((2,) * self.n)
@@ -110,6 +101,16 @@ def product_form(family: str, n: int) -> tuple[complex, int]:
         return -1j, n // 2
     e = n if family == FAMILY_SVETLICHNY and n % 2 == 1 else n - 1
     return (1 - 1j) ** e, e
+
+
+def ghz_phasor(family: str, n: int) -> complex:
+    """``g = sum_t c_t (-i)^{|t|} = u 2^(n-1-e)``, ``|t|`` the primed settings of
+    term t and ``(u, e)`` the :func:`product_form`; ``|g|`` is the GHZ quantum
+    value (:mod:`bellframes.restricted`). The product is exact, though its
+    zero part may be ``-0`` where the term sum gives ``+0``.
+    """
+    u, e = product_form(family, n)
+    return u * 2.0 ** (n - 1 - e)
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,5 +205,5 @@ def bounds_table(n: int, family: str) -> BoundsTable:
         for m in range(1, n):
             thresholds.append((f"Sep({m})", _sep_membership_bound(n, m + 1)))
     thresholds.append(("AlgebraicMax", poly.algebraic_max()))
-    thresholds.append(("GhzQuantumValue", abs(poly.ghz_phasor())))
+    thresholds.append(("GhzQuantumValue", abs(ghz_phasor(family, n))))
     return BoundsTable(n=n, family=family, lhv_bound=LHV_BOUND, thresholds=tuple(thresholds))

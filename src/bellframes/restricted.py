@@ -17,14 +17,18 @@ and every ``n`` to one complex number, its GHZ phasor
 
     g = sum_t c_t (-i)^{|t|}        (|t| = primed settings in term t),
 
-and one formula:
+and one formula: with ``z = e^{i Theta} g``,
 
-    primary = |Re(e^{i Theta} g)|,    swapped = |Im(e^{i Theta} g)|.
+    primary = |Re z|,    swapped = |Im z|.
 
 The primary value is the sum of the per-term expectations. Changing party 1
 multiplies its two settings' factors ``1, -i`` by ``-i``, hence every term,
-which turns ``Re`` into ``Im``: :func:`strategy_value` computes the swapped
-value as the primary one of ``-i g``.
+which turns ``Re`` into ``Im``. The term coefficients ``c_t = Re(u i^{|t|}) /
+2^e`` of :func:`~bellframes.polynomials.product_form` give ``g`` in closed
+form (:func:`~bellframes.polynomials.ghz_phasor`), since ``Re(u i^p) (-i)^p =
+(u + conj(u) (-1)^p) / 2`` and ``sum_p C(n, p) (-1)^p = 0``:
+
+    g = sum_p C(n, p) Re(u i^p) (-i)^p / 2^e = u 2^(n-1) / 2^e.
 
 The two strategies are the two quadratures of ``e^{i Theta} g``, so their
 squares sum to ``|g|^2`` and the better one is at least ``|g|/sqrt(2)`` at
@@ -44,12 +48,11 @@ exceeded".
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
-from .polynomials import _check_family, make_polynomial
+from .polynomials import ghz_phasor, product_form
 from .su2 import Rotation, X_AXIS, Y_AXIS
 
 STRATEGY_PRIMARY = "primary"
@@ -62,45 +65,27 @@ def z_rotation(theta: float) -> Rotation:
     return Rotation(math.cos(theta / 2.0), 0.0, 0.0, math.sin(theta / 2.0))
 
 
-def _check_strategy(strategy: str) -> None:
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+def strategy_value(family: str, n: int, theta_total):
+    """Closed-form Bell values ``(primary, swapped) = (|Re z|, |Im z|)`` of one
+    family, ``z = e^{i Theta} g`` with ``g`` the GHZ phasor (module docstring).
 
-
-@functools.lru_cache(maxsize=None)
-def _phasor(family: str, n: int) -> complex:
-    """:meth:`BellPolynomial.ghz_phasor`, cached: the phasor sum of a cached
-    polynomial takes 2.8, 8.4 and 124 us at n = 3, 5 and 8 (MK, one Xeon core), a
-    cached call 0.1 us and a whole scalar :func:`strategy_value` about 4.5 us, and
-    scalar callers (demos, tests) call it once per angle."""
-    return make_polynomial(family, n).ghz_phasor()
-
-
-def strategy_value(family: str, n: int, theta_total, strategy: str):
-    """Closed-form Bell value of one family under one strategy.
-
-    ``|Re(e^{i Theta} g)|`` for ``primary`` and ``|Im(e^{i Theta} g)|`` for
-    ``swapped``, with ``g`` the polynomial's GHZ phasor (module docstring).
-    ``theta_total`` is one angle, giving a float, or an array of angles,
-    giving an array of the same shape, bit for bit the per-angle floats:
-    the cosines and sines come from :func:`math.cos` and :func:`math.sin`.
+    ``theta_total`` is one angle, giving two floats, or an array of angles,
+    giving two arrays of its shape, bit for bit the per-angle floats: the
+    cosines and sines come from one :func:`math.cos` and :func:`math.sin` pass.
     """
-    _check_strategy(strategy)
-    g = _phasor(family, n)
+    g = ghz_phasor(family, n)
     theta = np.asarray(theta_total, dtype=float)
     angles = theta.ravel().tolist()
     c = np.fromiter(map(math.cos, angles), float, len(angles)).reshape(theta.shape)
     s = np.fromiter(map(math.sin, angles), float, len(angles)).reshape(theta.shape)
-    if strategy == STRATEGY_SWAPPED:
-        g *= -1j  # party 1's two factors times -i: Re(e^{i Theta} g) becomes Im
-    value = np.abs(g.real * c - g.imag * s)
-    return value if theta.ndim else float(value)
+    primary = np.abs(g.real * c - g.imag * s)
+    swapped = np.abs(g.real * s + g.imag * c)
+    return (primary, swapped) if theta.ndim else (float(primary), float(swapped))
 
 
 def best_value(family: str, n: int, theta_total):
     """Best of the two strategies for one family, per angle as :func:`strategy_value`."""
-    value = np.maximum(strategy_value(family, n, theta_total, STRATEGY_PRIMARY),
-                       strategy_value(family, n, theta_total, STRATEGY_SWAPPED))
+    value = np.maximum(*strategy_value(family, n, theta_total))
     return value if np.ndim(theta_total) else float(value)
 
 
@@ -108,9 +93,11 @@ def strategy_settings(family: str, n: int, strategy: str):
     """Per-party ``(A, A')`` Bloch directions realizing a strategy.
 
     Signs are folded into the direction (``-sigma_x`` becomes ``-x``), so the
-    closed forms can be checked through the exact correlator machinery.
+    closed forms can be checked through the exact correlator machinery. A
+    family or party count that :func:`strategy_value` rejects raises here too.
     """
-    _check_family(family)
-    _check_strategy(strategy)
+    product_form(family, n)  # raises ValueError as ghz_phasor does
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     first = (X_AXIS, Y_AXIS) if strategy == STRATEGY_PRIMARY else (Y_AXIS, -X_AXIS)
     return (first,) + tuple((X_AXIS, Y_AXIS) for _ in range(n - 1))

@@ -233,6 +233,13 @@ def restricted_exact_value(poly, thetas, settings):
         [obs[k][1] if (mask >> k) & 1 else obs[k][0] for k in range(n)]))
 
 
+def ghz_phasor(poly):
+    """``g = sum_t c_t (-i)^{|t|}`` of ``poly``, term by term, ``|t|`` the
+    primed settings of term t; the dyadic coefficients make the float sum exact."""
+    powers = (1, -1j, -1, 1j)  # (-i)^p for p = 0..3
+    return sum((float(c) * powers[mask.bit_count() % 4] for mask, c in poly.terms), 0j)
+
+
 def ghz_quantum_value(family, n):
     """The GHZ state's value of each family, from the paper's closed forms."""
     if family == "mk":

@@ -255,12 +255,12 @@ def test_c3d_restricted_grid_oracle_and_bounds():
     for theta in grid:
         n = int(rng.integers(2, 6))
         family = bp.FAMILIES[int(rng.integers(0, 3))]
-        strategy = rst.STRATEGIES[int(rng.integers(0, 2))]
+        k = int(rng.integers(0, 2))
         thetas = rng.dirichlet(np.ones(n)) * theta
         exact = restricted_exact_value(
             bp.make_polynomial(family, n), thetas,
-            rst.strategy_settings(family, n, strategy))
-        closed = rst.strategy_value(family, n, theta, strategy)
+            rst.strategy_settings(family, n, rst.STRATEGIES[k]))
+        closed = rst.strategy_value(family, n, theta)[k]
         worst = max(worst, abs(exact - closed))
     check("3d-i restricted closed forms vs correlator oracle on 1000-point grid "
           "<= 1e-10", worst <= 1e-10, f"max |diff| = {worst:.2e}")

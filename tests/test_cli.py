@@ -279,14 +279,14 @@ def test_sweep_conjugates_through_the_frame_kernel(tmp_path, monkeypatch):
 
 
 def test_sweep_takes_each_strategys_closed_form_in_one_call(tmp_path, monkeypatch):
-    # One array call per strategy, through the module-level name that
+    # One array call gives both strategies, through the module-level name that
     # perfbench/tracing.py wraps.
     calls = []
     value = rst.strategy_value
-    monkeypatch.setattr(rst, "strategy_value", lambda family, n, thetas, strategy: (
-        calls.append((np.shape(thetas), strategy)) or value(family, n, thetas, strategy)))
+    monkeypatch.setattr(rst, "strategy_value", lambda family, n, thetas: (
+        calls.append(np.shape(thetas)) or value(family, n, thetas)))
     sweep_column(tmp_path, "svetlichny", 3, 10)
-    assert calls == [((10,), rst.STRATEGY_PRIMARY), ((10,), rst.STRATEGY_SWAPPED)]
+    assert calls == [(10,)]
 
 
 # sha256 of sweep.csv, pinned from the per-point scan that preceded the

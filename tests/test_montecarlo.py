@@ -424,11 +424,13 @@ def test_invalid_config_rejected():
 @pytest.mark.parametrize("field, value", [
     ("seed", 1.5), ("seed", True), ("sign_flips", "off"), ("samples", 2.5), ("n", 3.0),
     ("sample_offset", 1.0), ("candidates", 3), ("candidates", b"pauli"), ("family", ["mermin"]),
+    ("budget", float("nan")), ("budget", None),
 ])
 def test_config_fields_written_to_the_outputs_must_have_their_types(field, value):
     # seed=1.5 would run seed 1's streams and sign_flips="off" would flip signs,
     # while summary.json recorded the value as given; a non-str family or
-    # candidates kind failed later, with an error that did not name the field.
+    # candidates kind failed later, with an error that did not name the field;
+    # budget=nan turned the budget check off and budget=None failed in run_experiment.
     with pytest.raises(ValueError, match=field):
         small_config(**{field: value})
 

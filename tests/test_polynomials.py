@@ -6,6 +6,7 @@ import pytest
 
 from bellframes import polynomials as bp
 from bellframes import su2
+import oracles
 from oracles import dense_coefficients, dense_mk_coefficients, evaluate
 
 HALF = Fraction(1, 2)
@@ -161,6 +162,17 @@ def test_bell_sum_in_product_form(family, n):
         value = evaluate(
             poly, lambda mask: su2.ghz_correlator([obs[k][(mask >> k) & 1] for k in range(n)]))
         assert abs(abs(s) - value) <= 1e-14, (family, n)
+
+
+@pytest.mark.parametrize("family", bp.FAMILIES)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_ghz_phasor_is_the_term_sum(family, n):
+    # u 2^(n-1-e) equals the sum over the 2^(n-1) terms, and so bounds_table's
+    # GhzQuantumValue keeps the term sum's modulus bit for bit; only the sign
+    # of a zero part may differ (mermin and mk at n = 5 and 7).
+    g = oracles.ghz_phasor(bp.make_polynomial(family, n))
+    assert bp.ghz_phasor(family, n) == g
+    assert bp.bounds_table(n, family).threshold("GhzQuantumValue") == abs(g)
 
 
 @pytest.mark.parametrize("family", bp.FAMILIES)

@@ -42,12 +42,10 @@ def test_expectation_matches_correlator_oracle():
 
 
 def test_mermin_value_examples():
-    assert abs(rst.strategy_value("mermin", 3, math.pi / 2.0, rst.STRATEGY_PRIMARY)
-               - 2.0) < 1e-12
-    assert rst.strategy_value("mermin", 3, 0.0, rst.STRATEGY_PRIMARY) == 0.0
-    assert abs(rst.strategy_value("mermin", 4, math.pi / 2.0, rst.STRATEGY_PRIMARY)
-               - 2.0) < 1e-12
-    assert abs(rst.strategy_value("mermin", 3, 0.0, rst.STRATEGY_SWAPPED) - 2.0) < 1e-12
+    assert abs(rst.strategy_value("mermin", 3, math.pi / 2.0)[0] - 2.0) < 1e-12
+    assert rst.strategy_value("mermin", 3, 0.0)[0] == 0.0
+    assert abs(rst.strategy_value("mermin", 4, math.pi / 2.0)[0] - 2.0) < 1e-12
+    assert abs(rst.strategy_value("mermin", 3, 0.0)[1] - 2.0) < 1e-12
 
 
 def test_svetlichny_value_examples():
@@ -64,7 +62,7 @@ def test_mk_even_value_examples():
 def test_sine_strategy_violation_condition():
     # For mermin-3 the primary strategy carries the sine: 2 |sin Theta|.
     def violates(theta):
-        return rst.strategy_value("mermin", 3, theta, rst.STRATEGY_PRIMARY) > bp.LHV_BOUND
+        return rst.strategy_value("mermin", 3, theta)[0] > bp.LHV_BOUND
 
     assert violates(math.pi / 2.0)
     assert not violates(0.0)
@@ -78,12 +76,12 @@ def test_closed_forms_match_su2_oracle_on_grid():
     for n in range(2, bp.MAX_PARTIES + 1):
         for family in bp.FAMILIES:
             poly = bp.make_polynomial(family, n)
-            for strategy in rst.STRATEGIES:
+            for k, strategy in enumerate(rst.STRATEGIES):
                 settings = rst.strategy_settings(family, n, strategy)
                 for theta in grid[:: max(1, n - 1)]:
                     thetas = rng.dirichlet(np.ones(n)) * theta
                     exact = restricted_exact_value(poly, thetas, settings)
-                    closed = rst.strategy_value(family, n, theta, strategy)
+                    closed = rst.strategy_value(family, n, theta)[k]
                     worst = max(worst, abs(exact - closed))
     assert worst < 1e-10
 
@@ -119,10 +117,9 @@ def test_periodicity():
         theta = float(rng.uniform(0, 2 * math.pi))
         n = int(rng.integers(2, 8))
         family = bp.FAMILIES[int(rng.integers(0, 3))]
-        for strategy in rst.STRATEGIES:
-            a = rst.strategy_value(family, n, theta, strategy)
-            b = rst.strategy_value(family, n, theta + 2.0 * math.pi, strategy)
-            assert abs(a - b) < 1e-12
+        a = rst.strategy_value(family, n, theta)
+        b = rst.strategy_value(family, n, theta + 2.0 * math.pi)
+        assert all(abs(x - y) < 1e-12 for x, y in zip(a, b))
 
 
 def test_optimizer_reaches_analytic_maximum():
@@ -164,7 +161,7 @@ def test_phasor_modulus_is_ghz_quantum_value(family, n):
     # reaches it at Theta = -arg g, where the primary quadrature is |g|.
     # ghz_phasor is the only source of both |g| and bounds_table's entry, so
     # both are pinned bit for bit to the closed forms.
-    g = rst._phasor(family, n)
+    g = bp.ghz_phasor(family, n)
     ghz = ghz_quantum_value(family, n)
     assert abs(g) == ghz
     assert bp.bounds_table(n, family).threshold("GhzQuantumValue") == ghz
@@ -174,37 +171,40 @@ def test_phasor_modulus_is_ghz_quantum_value(family, n):
 
 
 def test_unknown_family_or_strategy_rejected():
+    # strategy_settings takes strategy_value's family and party-count rule:
+    # n = 0 gave one party's settings and n = 9 nine, where strategy_value raised.
+    for family, n in (("chsh", 3), ("mermin", 0), ("mermin", 1), ("mk", bp.MAX_PARTIES + 1)):
+        with pytest.raises(ValueError):
+            rst.strategy_value(family, n, 0.1)
+        for strategy in rst.STRATEGIES:
+            with pytest.raises(ValueError):
+                rst.strategy_settings(family, n, strategy)
     with pytest.raises(ValueError):
-        rst.strategy_value("chsh", 3, 0.1, rst.STRATEGY_PRIMARY)
-    with pytest.raises(ValueError):
-        rst.strategy_value("mermin", 3, 0.1, "diagonal")
+        rst.strategy_settings("mermin", 3, "diagonal")
 
 
 @pytest.mark.parametrize("family", bp.FAMILIES)
 @pytest.mark.parametrize("n", range(2, bp.MAX_PARTIES + 1))
 def test_array_of_angles_gives_the_per_angle_floats_bit_for_bit(family, n):
     # The sweep's grid (2 pi k / grid, built as an array), negative angles and
-    # angles above 2 pi. Each scalar call returns a float equal to the
-    # per-angle closed form in Python floats; the array call gives the same bytes.
+    # angles above 2 pi. Each scalar call returns two floats equal to the
+    # per-angle closed forms in Python floats; the array call gives the same bytes.
     grid = 1009
     sweep = 2.0 * math.pi * np.arange(grid) / grid
     assert sweep.tolist() == [2.0 * math.pi * k / grid for k in range(grid)]
     thetas = np.concatenate([sweep, -np.linspace(0.0, 40.0, 97), np.linspace(6.3, 1e4, 97)])
-    g = rst._phasor(family, n)
-    closed = {
-        rst.STRATEGY_PRIMARY: lambda t: abs(g.real * math.cos(t) - g.imag * math.sin(t)),
-        rst.STRATEGY_SWAPPED: lambda t: abs(g.real * math.sin(t) + g.imag * math.cos(t)),
-    }
-    per_angle = {}
-    for strategy in rst.STRATEGIES:
-        scalars = [rst.strategy_value(family, n, t, strategy) for t in thetas.tolist()]
-        assert all(type(v) is float for v in scalars)
-        assert scalars == [closed[strategy](t) for t in thetas.tolist()]
-        values = rst.strategy_value(family, n, thetas, strategy)
-        assert values.tobytes() == np.array(scalars).tobytes()
-        shaped = rst.strategy_value(family, n, thetas[:-3].reshape(2, -1, 3), strategy)
-        assert shaped.tobytes() == values[:-3].tobytes()
-        per_angle[strategy] = scalars
+    g = bp.ghz_phasor(family, n)
+    closed = (lambda t: abs(g.real * math.cos(t) - g.imag * math.sin(t)),
+              lambda t: abs(g.real * math.sin(t) + g.imag * math.cos(t)))
+    pairs = [rst.strategy_value(family, n, t) for t in thetas.tolist()]
+    assert all(type(p) is float and type(s) is float for p, s in pairs)
+    per_angle = list(zip(*pairs))
+    for k, scalars in enumerate(per_angle):
+        assert list(scalars) == [closed[k](t) for t in thetas.tolist()]
+    values = rst.strategy_value(family, n, thetas)
+    assert [v.tobytes() for v in values] == [np.array(p).tobytes() for p in per_angle]
+    shaped = rst.strategy_value(family, n, thetas[:-3].reshape(2, -1, 3))
+    assert [v.tobytes() for v in shaped] == [v[:-3].tobytes() for v in values]
     best = [rst.best_value(family, n, t) for t in thetas.tolist()]
-    assert best == [max(p, s) for p, s in zip(*per_angle.values())]
+    assert best == [max(p, s) for p, s in pairs]
     assert rst.best_value(family, n, thetas).tobytes() == np.array(best).tobytes()
