@@ -2,7 +2,7 @@
 
 Every invocation with identical flags (including the seed) produces
 byte-identical output files; ``--threads`` only changes runtime. Exit codes:
-0 success, 2 usage or configuration error.
+0 success, 2 usage or configuration error, or a run too large to allocate.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .montecarlo import (
 # layer only through this module's name for it.
 from .optimizer import FIXED_KINDS, inplane_candidate_set, max_bell_value, score_frames
 from .polynomials import FAMILIES, MAX_PARTIES, bounds_table, make_polynomial
+from .su2 import cos_sin
 
 # Sweep grid points a run may ask for. A point costs about 0.6 KB of peak
 # memory at n = MAX_PARTIES, so a sweep at the cap peaks near 0.65 GB.
@@ -89,21 +90,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_sample(args) -> int:
-    try:
-        config = ExperimentConfig(
-            n=args.n,
-            family=args.family,
-            candidates=args.candidates,
-            samples=args.samples,
-            seed=args.seed,
-            bin_width=args.bin_width,
-            sign_flips=args.sign_flips == "on",
-            budget=args.budget,
-        )
-        result = run_experiment(config, threads=args.threads)
-    except (BudgetExceededError, MemoryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = ExperimentConfig(
+        n=args.n,
+        family=args.family,
+        candidates=args.candidates,
+        samples=args.samples,
+        seed=args.seed,
+        bin_width=args.bin_width,
+        sign_flips=args.sign_flips == "on",
+        budget=args.budget,
+    )
+    result = run_experiment(config, threads=args.threads)
     write_histogram_csv(result, args.out / "hist.csv")
     write_summary_json(result, args.out / "summary.json")
     print(f"wrote {args.out / 'hist.csv'} and {args.out / 'summary.json'}")
@@ -113,18 +110,14 @@ def cmd_sample(args) -> int:
 
 def cmd_sweep(args) -> int:
     if not 1 <= args.grid <= MAX_GRID:
-        print(f"error: grid must be in [1, {MAX_GRID}]", file=sys.stderr)
-        return 2
+        raise ValueError(f"grid must be in [1, {MAX_GRID}]")
     candidates = inplane_candidate_set([0.0, math.pi / 2.0])
     poly = make_polynomial(args.family, args.n)
     # Bit-equal to 2.0 * math.pi * k / grid per k.
     thetas = 2.0 * math.pi * np.arange(args.grid) / args.grid
     # Party 1 turns by theta about z (restricted.z_rotation); the others hold still.
-    quats = np.zeros((args.grid, args.n, 4))
-    quats[:, :, 0] = 1.0
-    half = (thetas / 2.0).tolist()
-    quats[:, 0, 0] = list(map(math.cos, half))
-    quats[:, 0, 3] = list(map(math.sin, half))
+    quats = np.tile([1.0, 0.0, 0.0, 0.0], (args.grid, args.n, 1))
+    quats[:, 0, 0], quats[:, 0, 3] = cos_sin(thetas / 2.0)
     best, _ = score_frames(poly.coefficient_tensor(), quats, candidates.directions)
     primary, swapped = restricted.strategy_value(args.family, args.n, thetas)
     rows = np.column_stack((thetas, primary, swapped, np.maximum(primary, swapped), best))
@@ -149,7 +142,11 @@ def cmd_bounds(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except (BudgetExceededError, MemoryError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

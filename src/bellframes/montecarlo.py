@@ -28,13 +28,14 @@ batching, threading or sample partitioning.
 
 Each batch derives its samples' keys in one pass (one sha256 per sample,
 the digests read as one array; the contract is unchanged), re-keys one
-Philox generator of its own to every sample's stream and draws the sample's
-normals in one call (uniform-angle rotations first, party by party): the
-same sequence as one call per draw, normalized with the rounding of
-``v / math.sqrt(v @ v)``. The scalar :func:`sample_generator`,
-:func:`haar_rotation`, :func:`uniform_angle_rotation` and
-:func:`random_candidate_set` stay the oracle, and redraw a sample whose draw
-has zero norm (measure zero).
+Philox generator of its own to every sample's stream and only draws, in
+stream order, into arrays: the same sequence as one call per draw. Vectors
+are then normalized with the rounding of ``v / math.sqrt(v @ v)``, and a
+uniform-angle quaternion is ``(cos h, sin h axis)`` with ``h = 0.5 (2 pi
+u)``, the rounding of :meth:`~bellframes.su2.Rotation.from_axis_angle`. The
+scalar :func:`sample_generator`, :func:`haar_rotation`,
+:func:`uniform_angle_rotation` and :func:`random_candidate_set` stay the
+oracle, and redraw a sample whose draw has zero norm (measure zero).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .optimizer import (
     score_frames,
 )
 from .polynomials import bounds_table, make_polynomial
-from .su2 import check_unit_norms, haar_rotation, uniform_angle_rotation
+from .su2 import check_unit_norms, cos_sin, haar_rotation, uniform_angle_rotation
 
 # A Bell value must exceed a bound by more than this to count as a crossing,
 # so exact-equality cases are never reported as violations.
@@ -89,11 +90,9 @@ class ExperimentConfig:
     index, letting adjacent ranges of one logical experiment run separately
     and merge exactly.
 
-    ``frame_measure`` names the distribution of each party's frame rotation:
-    ``haar`` (the default; four standard normals per party) or
-    ``uniform-angle`` (a uniform axis from three standard normals, then a
-    uniform angle from one ``random()``, per party in party order). Runs
-    with different measures never merge.
+    ``frame_measure`` names the distribution of each party's frame rotation,
+    ``haar`` (the default) or ``uniform-angle``, each drawn as the module
+    docstring's stream order says. Runs with different measures never merge.
     """
 
     n: int
@@ -187,31 +186,35 @@ def _draw_frames(config, m, indices, fixed_set):
     The base directions are ``fixed_set``'s, or, when it is ``None``, each
     sample's own random sets ``(B, n, m, 3)``. One generator, private to
     this call so that batches on other threads never share it, is re-keyed
-    to each sample's stream. A sample with a zero-norm vector (measure zero)
-    is drawn again on the scalar path.
+    to each sample's stream, and the loop only draws. A uniform-angle
+    quaternion holds ``(u, axis)`` until it becomes ``(cos h, sin h axis)``.
+    A sample with a zero-norm vector (measure zero) is drawn again on the
+    scalar path.
     """
     n, B = config.n, len(indices)
     haar = config.frame_measure == FRAME_HAAR
     head = 4 * n if haar else 0
     normals = np.empty((B, head + (3 * m * n if fixed_set is None else 0)))
-    quats = None if haar else np.empty((B, n, 4))
+    quats = normals[:, :head].reshape(B, n, 4) if haar else np.empty((B, n, 4))
     bitgen = np.random.Philox(0)
     rng = np.random.Generator(bitgen)
     # A fresh stream: counter 0, empty buffer; lists keep the setter cheap.
     state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    normal = rng.standard_normal
+    normal, uniform = rng.standard_normal, rng.random
     for b, (key, row) in enumerate(zip(_sample_keys(config.seed, indices.tolist()), normals)):
         state["state"]["key"] = key
         bitgen.state = state
         if not haar:  # uniform-angle rotations come first, party by party
-            quats[b] = [uniform_angle_rotation(rng).quaternion for _ in range(n)]
+            for q in quats[b]:
+                normal(out=q[1:])
+                q[0] = uniform()
         normal(out=row)
 
-    redraw = np.zeros(B, dtype=bool)
-    if haar:
-        quats = normals[:, :head].reshape(B, n, 4)
-        redraw |= _normalize(quats)
+    redraw = _normalize(quats if haar else quats[..., 1:])
+    if not haar:
+        quats[..., 0], s = cos_sin(0.5 * (2.0 * math.pi * quats[..., 0]))
+        quats[..., 1:] *= s[..., None]
     if fixed_set is None:
         base = normals[:, head:].reshape(B, n, m, 3)
         redraw |= _normalize(base)
@@ -285,13 +288,10 @@ def _build_result(config, values, evaluations) -> ExperimentResult:
     counts = np.bincount(which, minlength=nbins)
     histogram = tuple(zip(edges[:-1].tolist(), edges[1:].tolist(), counts.tolist()))
 
-    lhv_prob = float(np.mean(values > table.lhv_bound + CROSSING_TOL))
-    crossings = []
-    for label, bound in table.thresholds:
-        p = float(np.mean(values > bound + CROSSING_TOL))
-        crossings.append(
-            BoundCrossing(label=label, value=bound, prob=p, stderr=_binomial_stderr(p, samples))
-        )
+    levels = np.add([table.lhv_bound, *(bound for _, bound in table.thresholds)], CROSSING_TOL)
+    lhv_prob, *probs = np.mean(values > levels[:, None], axis=1).tolist()
+    crossings = [BoundCrossing(label, bound, p, _binomial_stderr(p, samples))
+                 for (label, bound), p in zip(table.thresholds, probs)]
     values = np.asarray(values, dtype=float)
     values.setflags(write=False)
     return ExperimentResult(

@@ -48,12 +48,10 @@ exceeded".
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .polynomials import ghz_phasor, product_form
-from .su2 import Rotation, X_AXIS, Y_AXIS
+from .su2 import Rotation, X_AXIS, Y_AXIS, cos_sin
 
 STRATEGY_PRIMARY = "primary"
 STRATEGY_SWAPPED = "swapped"
@@ -62,7 +60,8 @@ STRATEGIES = (STRATEGY_PRIMARY, STRATEGY_SWAPPED)
 
 def z_rotation(theta: float) -> Rotation:
     """Rotation by ``theta`` about the z-axis."""
-    return Rotation(math.cos(theta / 2.0), 0.0, 0.0, math.sin(theta / 2.0))
+    c, s = cos_sin(theta / 2.0)
+    return Rotation(float(c), 0.0, 0.0, float(s))
 
 
 def strategy_value(family: str, n: int, theta_total):
@@ -71,16 +70,13 @@ def strategy_value(family: str, n: int, theta_total):
 
     ``theta_total`` is one angle, giving two floats, or an array of angles,
     giving two arrays of its shape, bit for bit the per-angle floats: the
-    cosines and sines come from one :func:`math.cos` and :func:`math.sin` pass.
+    cosines and sines come from one :func:`~bellframes.su2.cos_sin` pass.
     """
     g = ghz_phasor(family, n)
-    theta = np.asarray(theta_total, dtype=float)
-    angles = theta.ravel().tolist()
-    c = np.fromiter(map(math.cos, angles), float, len(angles)).reshape(theta.shape)
-    s = np.fromiter(map(math.sin, angles), float, len(angles)).reshape(theta.shape)
+    c, s = cos_sin(theta_total)
     primary = np.abs(g.real * c - g.imag * s)
     swapped = np.abs(g.real * s + g.imag * c)
-    return (primary, swapped) if theta.ndim else (float(primary), float(swapped))
+    return (primary, swapped) if c.ndim else (float(primary), float(swapped))
 
 
 def best_value(family: str, n: int, theta_total):

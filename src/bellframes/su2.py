@@ -141,6 +141,13 @@ def uniform_angle_rotation(rng: np.random.Generator) -> Rotation:
     return Rotation.from_axis_angle(axis, 2.0 * math.pi * float(rng.random()))
 
 
+def cos_sin(angles):
+    """``math.cos`` and ``math.sin`` of each float in ``angles``, as two arrays of its shape."""
+    a = np.asarray(angles, dtype=float)
+    flat = a.ravel().tolist()
+    return [np.fromiter(map(f, flat), float).reshape(a.shape) for f in (math.cos, math.sin)]
+
+
 def observable_matrix(direction) -> np.ndarray:
     """The 2x2 Hermitian observable ``sigma . d`` for a unit Bloch vector."""
     d = check_unit_direction(direction)

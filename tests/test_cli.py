@@ -149,6 +149,20 @@ def test_sample_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x").exists()
 
 
+def test_sweep_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    # The sweep's scan chunks fail as sample's run does: exit 2, no traceback.
+    def score_frames(*args):
+        raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "score_frames", score_frames)
+    assert run_cli(["sweep", "--n", "3", "--family", "mk", "--grid", "64",
+                    "--out", str(tmp_path / "x")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 2.00 GiB for an array\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_sample_rejects_bad_flags(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["sample", "--n", "7", "--family", "mermin",

@@ -124,16 +124,30 @@ def test_batch_draws_equal_scalar_replay(measure, kind):
     assert_equal_to_replay(config, m, indices, quats, base)
 
 
+@pytest.mark.parametrize("kind", ["pauli", "random:3"])
+def test_uniform_angle_batch_builds_no_rotation(monkeypatch, kind):
+    # With no zero-norm draw, the batch never takes the scalar draw.
+    def scalar_draw(rng):
+        raise AssertionError("uniform_angle_rotation called outside a redraw")
+
+    monkeypatch.setattr(montecarlo, "uniform_angle_rotation", scalar_draw)
+    config = small_config(candidates=kind, samples=40, frame_measure="uniform-angle")
+    m, indices, (quats, base) = draw_batch(config)
+    assert_equal_to_replay(config, m, indices, quats, base)
+
+
 @pytest.mark.parametrize("measure, kind, block", [
     ("haar", "pauli", (4, 1)),                # sample 4, party 1's quaternion
     ("uniform-angle", "random:3", (4, 0, 1)),  # sample 4, party 0's second direction
+    ("uniform-angle", "pauli", (4, 1)),       # sample 4, party 1's axis
 ])
 def test_zero_norm_sample_is_redrawn_on_the_scalar_path(monkeypatch, measure, kind, block):
     config = small_config(candidates=kind, samples=6, frame_measure=measure)
     normalize = montecarlo._normalize
 
     def normalize_with_zero_block(v):
-        v[block] = 0.0
+        if v.ndim == len(block) + 1:  # only the stack whose vectors the block names
+            v[block] = 0.0
         return normalize(v)
 
     redrawn = []

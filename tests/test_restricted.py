@@ -183,6 +183,20 @@ def test_unknown_family_or_strategy_rejected():
         rst.strategy_settings("mermin", 3, "diagonal")
 
 
+def test_scalar_angle_gives_floats():
+    # A Python float, an int, a NumPy scalar and a 0-d array are all one angle.
+    want = rst.strategy_value("svetlichny", 3, 0.7)
+    for theta in (0.7, np.float64(0.7), np.array(0.7)):
+        assert rst.strategy_value("svetlichny", 3, theta) == want
+    values = [*rst.strategy_value("mermin", 3, 2), *want, rst.best_value("mermin", 3, 0.7)]
+    assert all(type(v) is float for v in values)
+    rot = rst.z_rotation(0.7)
+    assert (rot.q0, rot.q3) == (math.cos(0.35), math.sin(0.35))
+    assert all(type(q) is float for q in (rot.q0, rot.q3))
+    with pytest.raises(ValueError):
+        rst.strategy_value("mermin", 3, math.inf)
+
+
 @pytest.mark.parametrize("family", bp.FAMILIES)
 @pytest.mark.parametrize("n", range(2, bp.MAX_PARTIES + 1))
 def test_array_of_angles_gives_the_per_angle_floats_bit_for_bit(family, n):

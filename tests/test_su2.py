@@ -111,6 +111,23 @@ def test_uniform_angle_rotation_axis_is_uniform_on_sphere():
     assert np.all(np.abs(octant_fractions(reference) - 0.125) < three_sigma_bin)
 
 
+def test_cos_sin_is_the_libm_call_per_element():
+    angles = [0.0, -0.0, 1e-300, math.pi, -2.5, 1e6, 3e15]
+    want = [[f(x) for x in angles] for f in (math.cos, math.sin)]
+    for shaped in (np.array(angles), np.array(angles[:6]).reshape(2, 3)):
+        got = su2.cos_sin(shaped)
+        assert [v.shape for v in got] == [shaped.shape] * 2
+        assert [v.tobytes() for v in got] == [
+            np.array(w[: shaped.size]).tobytes() for w in want]
+    for x in angles:
+        c, s = su2.cos_sin(x)
+        assert c.shape == s.shape == ()
+        assert (c.tobytes(), s.tobytes()) == (np.float64(math.cos(x)).tobytes(),
+                                              np.float64(math.sin(x)).tobytes())
+    with pytest.raises(ValueError):
+        su2.cos_sin([0.0, math.inf])
+
+
 def test_rotation_validates_norm():
     # The message carries the Python float |q|^2 that the check computed.
     message = "quaternion is not unit-norm: |q|^2 = 2.0"
